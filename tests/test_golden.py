@@ -1,0 +1,102 @@
+"""Pinned SHA-256 digests of CLI outputs.
+
+The configs are those of the acceptance determinism check, plus two
+``sample`` runs on a dyadic and on an explicit design.  Each digest covers
+one output file byte for byte, so a changed digest means a changed output;
+refactors must leave every digest as it is.  At these sizes the digests do
+not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gaussequiv import cli
+
+MEASURE1 = {"atoms": [{"label": "x1", "mass": 2.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
+MEASURE2 = {"atoms": [{"label": "x1", "mass": 1.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
+
+RUNS = {
+    "jdiv": ("jdiv", {
+        "kernel1": {"variant": "brownian", "sigma": 1.0},
+        "kernel2": {"variant": "brownian", "sigma": 2.0},
+        "designs": {"type": "dyadic_interval", "max_n": 32, "domain": [0, 1]},
+    }),
+    "sphere": ("sphere", {
+        "sphere_dim": 3,
+        "K": 200,
+        "ratio_model": {"type": "power", "c": 1.0, "s": 2.0},
+    }),
+    "chow": ("chow", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}),
+    "sample": ("sample", {
+        "kernel": {"variant": "exponential", "sigma": 1.0, "beta": 1.0},
+        "design": {"type": "equispaced_interval", "n": 8, "domain": [0, 1]},
+        "replicates": 16,
+        "seed": 99,
+    }),
+    "sample_dyadic": ("sample", {
+        "kernel": {"variant": "brownian", "sigma": 1.5},
+        "design": {"type": "dyadic_interval", "n": 16, "domain": [0, 2]},
+        "replicates": 12,
+        "seed": 7,
+    }),
+    "sample_explicit": ("sample", {
+        "kernel": {"variant": "exponential", "sigma": 0.5, "beta": 3.0},
+        "design": {
+            "type": "explicit",
+            "geometry": {"kind": "euclidean", "dim": 1},
+            "points": [[0.1], [0.35], [0.5], [0.9], [1.7]],
+        },
+        "replicates": 10,
+        "seed": 2024,
+    }),
+    "mle": ("mle", {
+        "n_grid": [6, 10],
+        "replicates": 20,
+        "seed": 5,
+        "optimizer": {"starts": 2, "max_evals": 120},
+    }),
+}
+
+GOLDEN = {
+    "chow/criterion.csv": "3f9192bd467a5816dad910cfb9888a4c15383a348e17726628efc7cb7f9d565e",
+    "chow/verdict.json": "68d28940f884aa35de67a28c431a04b4c63528513c7c0205db53a7e065650597",
+    "jdiv/trace.csv": "dd3433cb33aa4e69a91398a212abaa48c6f7fe5c0c6b3eafb102bdf5e00aace9",
+    "jdiv/verdict.json": "5bbe1ad6dcc5ef92bfb9f7d8f4b13ebefca6f906debfde1920d6fcf4a3282348",
+    "mle/consistency.csv": "4805057c5fbf596705135a484d586bcf38d0526c6301ee56f11370a4b08f547c",
+    "sample/sample_meta.json": "137d03f7d98595f9590cdf2ead9c3cd297a9d1ffef2965af8c9fd16a7e53e112",
+    "sample/samples.csv": "d0cfff2f57eedbad6ad735d0ab24e620565f4d3c1c4b768d4809ffbbcdc80f71",
+    "sample_dyadic/sample_meta.json": "fefb46a88b4a241c2b0ef9db6c2d8ef080177254afcda746387a455caef8d924",
+    "sample_dyadic/samples.csv": "e8a91a9f905b48afa73917d33ca99951b84fc8caa33d5d490fe1cc8484bfe0b6",
+    "sample_explicit/sample_meta.json": "82b6b56f8f40b6da81065f828da3c96e26ea53eaccddf5e6cacc9155a095da7d",
+    "sample_explicit/samples.csv": "081aea1a300f97ac707291159466a6c15779cad8f440e4363627335a76387d67",
+    "sphere/criterion.csv": "dba4111a7aca5f37b2729ff72702a26ae60ef2d78aa7b84096cbbb52713a1b9e",
+    "sphere/verdict.json": "f7a7094d0a8dc44ea9ae82283f8add791436f49fdb77048b43e89dc185481717",
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    base = tmp_path_factory.mktemp("golden")
+    (base / "m1.json").write_text(json.dumps(MEASURE1))
+    (base / "m2.json").write_text(json.dumps(MEASURE2))
+    out = {}
+    for run, (sub, payload) in RUNS.items():
+        cfg = base / f"{run}.json"
+        cfg.write_text(json.dumps(payload))
+        outdir = base / run
+        assert cli.main([sub, "--config", str(cfg), "--out", str(outdir)]) == 0
+        for path in sorted(outdir.iterdir()):
+            if path.name != "manifest.json":
+                out[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_output_files(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_digest(digests, name):
+    assert digests[name] == GOLDEN[name]

@@ -128,6 +128,15 @@ class TestDesign:
         assert d.prefix(2).is_prefix_of(d)
         assert not d.is_prefix_of(d.prefix(2))
 
+    def test_from_json_rejects_malformed_points(self):
+        geometry = {"kind": "euclidean", "dim": 1}
+        # a 2-coordinate point is not two scalar points
+        with pytest.raises(ContractError):
+            Design.from_json({"geometry": geometry, "points": [[0.1, 0.2]]})
+        # ragged rows are a contract violation, not a NumPy shape error
+        with pytest.raises(ContractError):
+            Design.from_json({"geometry": geometry, "points": [[0.1], [0.2, 0.3]]})
+
     def test_json_roundtrip(self, rng):
         d = Design.on_sphere(random_unit_vectors(rng, 4, 3))
         d2 = Design.from_json(d.to_json())
