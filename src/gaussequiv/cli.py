@@ -14,7 +14,6 @@ above 20%.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -27,6 +26,7 @@ import numpy as np
 from . import __version__
 from .designs import (
     dyadic_interval_designs,
+    dyadic_interval_points,
     equispaced_interval_design,
     fibonacci_sphere_designs,
     sphere_sequence,
@@ -40,6 +40,7 @@ from .spectral import (
     AtomicSpectralMeasure,
     CriterionResult,
     chow_sum,
+    criterion_to_csv,
     ratio_model_from_json,
     spectra_from_ratio_model,
     sphere_equivalence_sum,
@@ -74,7 +75,8 @@ def _design_from_config(obj: dict) -> Design:
     if kind == "equispaced_interval":
         return equispaced_interval_design(int(obj["n"]), tuple(obj.get("domain", (0.0, 1.0))))
     if kind == "dyadic_interval":
-        return dyadic_interval_designs(int(obj["n"]), tuple(obj.get("domain", (0.0, 1.0))))[-1]
+        pts = dyadic_interval_points(int(obj["n"]), tuple(obj.get("domain", (0.0, 1.0))))
+        return Design.interval(pts)
     if kind == "fibonacci_sphere":
         d = int(obj.get("sphere_dim", 3))
         return Design.on_sphere(sphere_sequence(int(obj["n"]), d))
@@ -91,14 +93,6 @@ def _nested_designs_from_config(obj: dict) -> list[Design]:
         d = int(obj.get("sphere_dim", 3))
         return fibonacci_sphere_designs([int(s) for s in obj["sizes"]], d)
     raise ContractError(f"unknown nested design type {kind!r}")
-
-
-def _write_criterion_csv(path: Path, index_name: str, result: CriterionResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([index_name, "term", "partial_sum"])
-        for i, t, p in zip(result.indices, result.terms, result.partial_sums):
-            w.writerow([int(i), repr(float(t)), repr(float(p))])
 
 
 def _criterion_verdict_json(result: CriterionResult, extra: dict) -> dict:
@@ -141,7 +135,7 @@ def _run_sphere(config: dict, outdir: Path, seed, args) -> int:
     else:
         raise ContractError("config must provide explicit spectra or a ratio_model")
     result = sphere_equivalence_sum(s1, s2, last_k, tail_model=model)
-    _write_criterion_csv(outdir / "criterion.csv", "k", result)
+    criterion_to_csv(result, outdir / "criterion.csv", "k")
     payload = _criterion_verdict_json(result, {"sphere_dim": d, "K": last_k})
     (outdir / "verdict.json").write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -155,7 +149,7 @@ def _run_chow(config: dict, outdir: Path, seed, args) -> int:
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     weight_bound = config.get("weight_bound")
     result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=weight_bound)
-    _write_criterion_csv(outdir / "criterion.csv", "n", result)
+    criterion_to_csv(result, outdir / "criterion.csv", "n")
     payload = _criterion_verdict_json(result, {"N": n_atoms})
     (outdir / "verdict.json").write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

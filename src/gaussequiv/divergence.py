@@ -14,15 +14,17 @@ a labeled, threshold-based verdict and always ships the raw numbers with it.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._csvio import write_csv
+from .designs import is_prefix_nested
 from .errors import ContractError
 from .kernels import CovarianceKernel, Design, GramMatrix, gram
 
@@ -105,9 +107,8 @@ def j_divergence_trace(
     designs = list(designs)
     if not designs:
         raise ContractError("need at least one design")
-    for a, b in zip(designs, designs[1:]):
-        if len(b) <= len(a) or not a.is_prefix_of(b):
-            raise ContractError("designs must be strictly nested prefix-extensions")
+    if not is_prefix_nested(designs):
+        raise ContractError("designs must be strictly nested prefix-extensions")
     sizes = tuple(len(d) for d in designs)
     values = np.array(
         [max(0.0, j_divergence(gram(k1, d), gram(k2, d))) for d in designs]
@@ -178,11 +179,8 @@ def dichotomy_diagnostic(trace: DivergenceTrace) -> DichotomyVerdict:
 
 def trace_to_csv(trace: DivergenceTrace, path) -> None:
     """Write the trace with header ``n,J,slope_estimate``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "J", "slope_estimate"])
-        for n, v in zip(trace.sizes, trace.values):
-            w.writerow([n, repr(float(v)), repr(trace.slope_estimate)])
+    rows = zip(trace.sizes, map(float, trace.values), repeat(float(trace.slope_estimate)))
+    write_csv(path, ["n", "J", "slope_estimate"], rows)
 
 
 def trace_to_json(trace: DivergenceTrace, verdict: DichotomyVerdict | None = None) -> dict:

@@ -80,7 +80,7 @@ class Geometry:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A single evaluation site, stored as a coordinate vector."""
+    """A single evaluation site, stored as a coordinate vector (the argument of eval_kernel)."""
 
     coords: np.ndarray
 
@@ -98,46 +98,56 @@ class Point:
         return self.coords.shape[0]
 
 
+def _points_array(points, geometry: Geometry) -> np.ndarray:
+    """Validated read-only ``(n, dim)`` copy of ``points`` on ``geometry``.
+
+    Each row is one point; on a 1-D geometry a flat sequence of scalars is
+    also accepted.  Rows of another length, or of unequal lengths, raise
+    :class:`ContractError`, as do spherical points off the unit sphere.
+    """
+    try:
+        coords = np.array(points, dtype=float)
+    except ValueError:
+        raise ContractError("design points must all have the same dimension") from None
+    if coords.size == 0:
+        raise ContractError("design must contain at least one point")
+    if coords.ndim == 1 and geometry.dim == 1:
+        coords = coords[:, None]
+    if coords.ndim != 2 or coords.shape[1] != geometry.dim:
+        raise ContractError(f"points must form an (n, {geometry.dim}) array, not {coords.shape}")
+    if geometry.kind == "sphere":
+        norms = np.linalg.norm(coords, axis=1)
+        if np.max(np.abs(norms - 1.0)) > SPHERE_NORM_TOL:
+            raise ContractError("spherical design points must have unit norm")
+    coords.flags.writeable = False
+    return coords
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """Ordered finite set of pairwise-distinct points sharing one geometry.
 
+    ``coords`` is a read-only ``(n, dim)`` array, one row per point.
     Duplicate points are rejected because they make the Gram matrix of any
     strictly positive-definite kernel singular.
     """
 
-    points: tuple[Point, ...]
+    coords: np.ndarray
     geometry: Geometry
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) == 0:
-            raise ContractError("design must contain at least one point")
-        for p in self.points:
-            if p.dim != self.geometry.dim:
-                raise ContractError(
-                    f"point of dimension {p.dim} in {self.geometry.dim}-dimensional design"
-                )
-        coords = np.array([p.coords for p in self.points], dtype=float)
-        if self.geometry.kind == "sphere":
-            norms = np.linalg.norm(coords, axis=1)
-            if np.max(np.abs(norms - 1.0)) > SPHERE_NORM_TOL:
-                raise ContractError("spherical design points must have unit norm")
+        coords = _points_array(self.coords, self.geometry)
         if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
             raise ContractError("design points must be pairwise distinct")
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """(n, dim) coordinate array, read-only."""
-        return _readonly(np.array([p.coords for p in self.points]))
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
 
     def prefix(self, n: int) -> "Design":
         if not 1 <= n <= len(self):
             raise ContractError("prefix length out of range")
-        return Design(self.points[:n], self.geometry)
+        return Design(self.coords[:n], self.geometry)
 
     def is_prefix_of(self, other: "Design") -> bool:
         if self.geometry != other.geometry or len(self) > len(other):
@@ -147,7 +157,7 @@ class Design:
     @staticmethod
     def interval(values: Sequence[float]) -> "Design":
         """Design of scalar points on the real line."""
-        return Design(tuple(Point.scalar(v) for v in values), Geometry.euclidean(1))
+        return Design(values, Geometry.euclidean(1))
 
     @staticmethod
     def on_sphere(coords: np.ndarray) -> "Design":
@@ -155,8 +165,7 @@ class Design:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ContractError("sphere design expects an (n, d) array")
-        pts = tuple(Point(row) for row in coords)
-        return Design(pts, Geometry.sphere(coords.shape[1]))
+        return Design(coords, Geometry.sphere(coords.shape[1]))
 
     def to_json(self) -> dict:
         return {
@@ -167,8 +176,7 @@ class Design:
     @staticmethod
     def from_json(obj: dict) -> "Design":
         geom = Geometry(obj["geometry"]["kind"], int(obj["geometry"]["dim"]))
-        pts = tuple(Point(np.asarray(row, dtype=float)) for row in obj["points"])
-        return Design(pts, geom)
+        return Design(obj["points"], geom)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +206,6 @@ def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
     return np.array([harmonic_dimension(d, k) for k in range(max_degree + 1)], dtype=float)
 
 
-def _check_gegenbauer_domain(x: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(x)) > 1.0 + 1e-12:
-        raise ContractError("Gegenbauer argument must lie in [-1, 1]")
-    return np.clip(x, -1.0, 1.0)
-
-
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
     """Gegenbauer polynomial ``C_k^lambda(x) / C_k^lambda(1)`` with ``lambda = (d-2)/2``.
 
@@ -228,7 +230,10 @@ def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
     if k < 0:
         raise ContractError("degree k must be nonnegative")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = _check_gegenbauer_domain(np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    if np.max(np.abs(xa)) > 1.0 + 1e-12:
+        raise ContractError("Gegenbauer argument must lie in [-1, 1]")
+    xa = np.clip(xa, -1.0, 1.0)
     lam = (d - 2) / 2.0
     g_prev = np.ones_like(xa)
     if k == 0:
@@ -309,21 +314,14 @@ class SchoenbergSpectrum:
 class CovarianceKernel(ABC):
     """Symmetric positive-definite covariance kernel on a fixed geometry."""
 
+    @property
     @abstractmethod
-    def check_geometry(self, geometry: Geometry) -> None:
-        """Raise ContractError if the kernel cannot act on the geometry."""
-
-    @abstractmethod
-    def check_point(self, p: Point) -> None:
-        """Raise ContractError if a single point is incompatible."""
-
-    @abstractmethod
-    def value(self, s: np.ndarray, t: np.ndarray) -> float:
-        """Kernel value at a coordinate pair (assumed already validated)."""
+    def geometry(self) -> Geometry:
+        """The one geometry the kernel acts on."""
 
     @abstractmethod
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Dense kernel matrix over an (n, d) coordinate array."""
+        """Dense kernel matrix over an (n, d) coordinate array of that geometry."""
 
 
 @dataclass(frozen=True)
@@ -331,23 +329,11 @@ class BrownianKernel(CovarianceKernel):
     """Brownian-motion covariance ``sigma^2 * min(s, t)`` for scalar s, t >= 0."""
 
     sigma: float
+    geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ContractError("sigma must be strictly positive")
-
-    def check_geometry(self, geometry: Geometry) -> None:
-        if geometry != Geometry.euclidean(1):
-            raise ContractError("Brownian kernel is defined on scalar points")
-
-    def check_point(self, p: Point) -> None:
-        if p.dim != 1:
-            raise ContractError("Brownian kernel expects scalar points")
-        if p.coords[0] < 0:
-            raise ContractError("Brownian kernel requires t >= 0")
-
-    def value(self, s: np.ndarray, t: np.ndarray) -> float:
-        return self.sigma**2 * float(min(s[0], t[0]))
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
@@ -362,23 +348,13 @@ class ExponentialKernel(CovarianceKernel):
 
     sigma: float
     beta: float
+    geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ContractError("sigma must be strictly positive")
         if not self.beta > 0:
             raise ContractError("beta must be strictly positive")
-
-    def check_geometry(self, geometry: Geometry) -> None:
-        if geometry != Geometry.euclidean(1):
-            raise ContractError("exponential kernel is defined on scalar points")
-
-    def check_point(self, p: Point) -> None:
-        if p.dim != 1:
-            raise ContractError("exponential kernel expects scalar points")
-
-    def value(self, s: np.ndarray, t: np.ndarray) -> float:
-        return self.sigma**2 * float(np.exp(-self.beta * abs(s[0] - t[0])))
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
@@ -397,24 +373,9 @@ class SchoenbergKernel(CovarianceKernel):
 
     spectrum: SchoenbergSpectrum
 
-    def check_geometry(self, geometry: Geometry) -> None:
-        if geometry != Geometry.sphere(self.spectrum.sphere_dim):
-            raise ContractError(
-                f"Schoenberg kernel lives on the unit sphere in R^{self.spectrum.sphere_dim}"
-            )
-
-    def check_point(self, p: Point) -> None:
-        if p.dim != self.spectrum.sphere_dim:
-            raise ContractError("point dimension does not match sphere dimension")
-        if abs(np.linalg.norm(p.coords) - 1.0) > SPHERE_NORM_TOL:
-            raise ContractError("Schoenberg kernel expects unit-norm points")
-
-    def value(self, s: np.ndarray, t: np.ndarray) -> float:
-        x = _check_gegenbauer_domain(np.asarray(float(s @ t)))
-        return float(
-            _zonal_sum(self.spectrum.sphere_dim, self.spectrum.coeffs,
-                       self.spectrum.harmonic_dims, x)
-        )
+    @property
+    def geometry(self) -> Geometry:
+        return Geometry.sphere(self.spectrum.sphere_dim)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         # broadcasting keeps the per-entry reduction order fixed, so the dot
@@ -494,15 +455,20 @@ def gram(kernel: CovarianceKernel, design: Design, jitter: float = 0.0) -> GramM
     positive definite; pass a small ``jitter`` only for exploratory work,
     since regularization biases divergence values.
     """
-    kernel.check_geometry(design.geometry)
+    if design.geometry != kernel.geometry:
+        name = type(kernel).__name__
+        raise ContractError(f"{name} acts on {kernel.geometry}, not {design.geometry}")
     return gram_from_matrix(kernel.matrix(design.coords), jitter=jitter)
 
 
 def eval_kernel(kernel: CovarianceKernel, s: Point, t: Point) -> float:
-    """Evaluate ``R(s, t)`` after validating both points against the kernel."""
-    kernel.check_point(s)
-    kernel.check_point(t)
-    return kernel.value(s.coords, t.coords)
+    """Evaluate ``R(s, t)`` after validating both points against the kernel.
+
+    The points pass the same checks as design points on the kernel's
+    geometry (they may coincide), and the value is the off-diagonal entry of
+    the kernel matrix on ``(s, t)``.
+    """
+    return float(kernel.matrix(_points_array((s.coords, t.coords), kernel.geometry))[0, 1])
 
 
 # ---------------------------------------------------------------------------

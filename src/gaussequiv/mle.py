@@ -16,7 +16,6 @@ so it is the combination whose RMSE should shrink.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 from scipy.stats import qmc
 
+from ._csvio import write_csv
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram
@@ -304,16 +304,12 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
 
 def report_to_csv(report: ConsistencyReport, path) -> None:
     """Write the report with header ``n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "rmse_sigma2", "rmse_beta", "rmse_microergodic", "failed_replicates"])
-        for i, n in enumerate(report.n_grid):
-            w.writerow(
-                [
-                    n,
-                    repr(float(report.rmse_sigma2[i])),
-                    repr(float(report.rmse_beta[i])),
-                    repr(float(report.rmse_microergodic[i])),
-                    report.failed[i],
-                ]
-            )
+    rows = zip(
+        report.n_grid,
+        map(float, report.rmse_sigma2),
+        map(float, report.rmse_beta),
+        map(float, report.rmse_microergodic),
+        report.failed,
+    )
+    header = ["n", "rmse_sigma2", "rmse_beta", "rmse_microergodic", "failed_replicates"]
+    write_csv(path, header, rows)

@@ -9,11 +9,11 @@ platform and release.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from .errors import ContractError
 from .kernels import Design, GramMatrix
 
@@ -72,7 +72,4 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
 
 def batch_to_csv(batch: SampleBatch, path) -> None:
     """Write the batch, one replicate per row, no header."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in batch.samples:
-            w.writerow([repr(float(v)) for v in row])
+    write_csv(path, None, (row.tolist() for row in batch.samples))

@@ -14,12 +14,12 @@ closed-form ratio model supplies an analytic tail bound.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from .errors import AtomMismatchError, ContractError
 from .kernels import SchoenbergSpectrum, harmonic_dimensions
 
@@ -349,10 +349,7 @@ def atomic_measure_from_spectrum(spectrum: SchoenbergSpectrum) -> AtomicSpectral
     )
 
 
-def criterion_to_csv(result: CriterionResult, path) -> None:
-    """Write partial sums with header ``n,partial_sum``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "partial_sum"])
-        for i, p in zip(result.indices, result.partial_sums):
-            w.writerow([int(i), repr(float(p))])
+def criterion_to_csv(result: CriterionResult, path, index_name: str = "n") -> None:
+    """Write the terms and partial sums with header ``<index_name>,term,partial_sum``."""
+    rows = zip(map(int, result.indices), map(float, result.terms), map(float, result.partial_sums))
+    write_csv(path, [index_name, "term", "partial_sum"], rows)

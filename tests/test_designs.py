@@ -29,6 +29,8 @@ class TestDyadicInterval:
         designs = dyadic_interval_designs(64)
         assert [len(d) for d in designs] == [2, 4, 8, 16, 32, 64]
         assert is_prefix_nested(designs)
+        # equal consecutive designs are not a strict extension
+        assert not is_prefix_nested([designs[2], designs[2]])
 
     def test_domain_mapping(self):
         pts = dyadic_interval_points(4, domain=(1.0, 3.0))

@@ -1,0 +1,116 @@
+"""Property tests for the paper's invariants and the library's exactness contracts."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaussequiv import (
+    AtomicSpectralMeasure,
+    BrownianKernel,
+    Design,
+    ExponentialKernel,
+    Point,
+    SchoenbergKernel,
+    SchoenbergSpectrum,
+    chow_sum,
+    eval_kernel,
+    gram,
+    j_divergence,
+)
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+# J is a sum of n nonnegative eigenvalue terms lambda + 1/lambda - 2, formed
+# from traces of size about n + J; on these well-separated designs roundoff
+# stays below J_RTOL * (n + J)
+J_RTOL = 1e-9
+
+positive = st.floats(0.2, 5.0)
+
+
+@st.composite
+def interval_coords(draw, min_size=1, max_size=12):
+    """Distinct points of [0, 4] at least 0.05 apart, in drawn order."""
+    grid = draw(st.lists(st.integers(0, 80), min_size=min_size, max_size=max_size, unique=True))
+    return 0.05 * np.array(grid, dtype=float)
+
+
+@st.composite
+def sphere_coords(draw, d=3, min_size=1, max_size=10):
+    raw = draw(
+        st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    v = np.array(raw)
+    v = v[np.linalg.norm(v, axis=1) > 0.1]
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.unique(v, axis=0)
+
+
+@st.composite
+def kernels_and_coords(draw):
+    kind = draw(st.sampled_from(["brownian", "exponential", "schoenberg"]))
+    if kind == "schoenberg":
+        coeffs = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+        return SchoenbergKernel(SchoenbergSpectrum(3, np.array(coeffs))), draw(sphere_coords().filter(len))
+    t = draw(interval_coords())[:, None]
+    if kind == "brownian":
+        return BrownianKernel(draw(positive)), t
+    return ExponentialKernel(draw(positive), draw(positive)), t
+
+
+@SETTINGS
+@given(kernels_and_coords(), st.data())
+def test_eval_kernel_is_matrix_entry(kernel_coords, data):
+    kernel, coords = kernel_coords
+    i = data.draw(st.integers(0, len(coords) - 1))
+    j = data.draw(st.integers(0, len(coords) - 1))
+    value = eval_kernel(kernel, Point(coords[i]), Point(coords[j]))
+    assert value == kernel.matrix(coords)[i, j]
+
+
+@SETTINGS
+@given(st.one_of(interval_coords().map(Design.interval), sphere_coords().filter(len).map(Design.on_sphere)), st.data())
+def test_design_json_roundtrip_and_prefix(design, data):
+    again = Design.from_json(json.loads(json.dumps(design.to_json())))
+    assert again.geometry == design.geometry
+    assert again.coords.dtype == design.coords.dtype
+    assert again.coords.tobytes() == design.coords.tobytes()
+    m = data.draw(st.integers(1, len(design)))
+    assert design.prefix(m).is_prefix_of(design)
+
+
+@SETTINGS
+@given(interval_coords(min_size=2), positive, positive, positive, positive)
+def test_j_divergence_symmetric_nonnegative_monotone(t, s1, b1, s2, b2):
+    k1, k2 = ExponentialKernel(s1, b1), ExponentialKernel(s2, b2)
+    design = Design.interval(t)
+    values = []
+    for m in range(1, len(design) + 1):
+        d = design.prefix(m)
+        g1, g2 = gram(k1, d), gram(k2, d)
+        j = j_divergence(g1, g2)
+        assert j == j_divergence(g2, g1)
+        assert j >= -J_RTOL * m
+        values.append(j)
+    for m, (a, b) in enumerate(zip(values, values[1:]), start=2):
+        assert b >= a - J_RTOL * (m + b)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)), min_size=1, max_size=30))
+def test_chow_sum_unit_dimensions_is_grenander_form(masses):
+    m1 = np.array([a for a, _ in masses])
+    m2 = np.array([b for _, b in masses])
+    labels = tuple(f"a{i}" for i in range(len(masses)))
+    ones = np.ones(len(masses), dtype=int)
+    result = chow_sum(
+        AtomicSpectralMeasure(labels, m1, ones), AtomicSpectralMeasure(labels, m2, ones), len(masses)
+    )
+    assert result.final == pytest.approx(float(np.sum((1.0 - m1 / m2) ** 2)), rel=1e-12, abs=1e-300)

@@ -213,6 +213,6 @@ class TestCriterionCsv:
         path = tmp_path / "criterion.csv"
         criterion_to_csv(res, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "n,partial_sum"
+        assert lines[0] == "n,term,partial_sum"
         assert lines[1].startswith("0,")
         assert len(lines) == 3
