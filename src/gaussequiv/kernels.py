@@ -455,10 +455,15 @@ def gram(kernel: CovarianceKernel, design: Design, jitter: float = 0.0) -> GramM
     positive definite; pass a small ``jitter`` only for exploratory work,
     since regularization biases divergence values.
     """
+    require_geometry(kernel, design)
+    return gram_from_matrix(kernel.matrix(design.coords), jitter=jitter)
+
+
+def require_geometry(kernel: CovarianceKernel, design: Design) -> None:
+    """Raise :class:`ContractError` unless ``design`` lies on the kernel's geometry."""
     if design.geometry != kernel.geometry:
         name = type(kernel).__name__
         raise ContractError(f"{name} acts on {kernel.geometry}, not {design.geometry}")
-    return gram_from_matrix(kernel.matrix(design.coords), jitter=jitter)
 
 
 def eval_kernel(kernel: CovarianceKernel, s: Point, t: Point) -> float:

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaussequiv import (
+    BrownianKernel,
     ContractError,
     Design,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from gaussequiv import (
     ParamSpace,
     SchoenbergKernel,
     SchoenbergSpectrum,
+    SingularGramError,
     equispaced_interval_design,
     fit_mle,
     gram,
@@ -71,6 +74,46 @@ class TestNegLogLikelihood:
                 )
                 assert neg_log_likelihood(problem, theta) == pytest.approx(dense, rel=1e-8)
 
+    def test_degenerate_exponential_variance_penalized(self):
+        # sigma^2 underflows to 0: the Markov variances vanish, the dense Gram is singular
+        design = equispaced_interval_design(5)
+        problem = LikelihoodProblem(exp_family, design, np.ones(5))
+        with pytest.raises(SingularGramError):
+            gram(exp_family([1e-200, 1.0]), design)
+        assert neg_log_likelihood(problem, [1e-200, 1.0]) == PENALTY
+
+    def test_exponential_geometry_mismatch_matches_gram(self):
+        design = Design.on_sphere(sphere_sequence(3, 3))
+        problem = LikelihoodProblem(exp_family, design, np.zeros(3))
+        with pytest.raises(ContractError) as from_gram:
+            gram(exp_family([1.0, 1.0]), design)
+        with pytest.raises(ContractError, match=re.escape(str(from_gram.value))):
+            neg_log_likelihood(problem, [1.0, 1.0])
+
+    def test_exponential_family_never_builds_a_gram(self, monkeypatch):
+        design, y = simulate(200, 1.0, 1.0, seed=21)
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("dense Gram built on the exponential likelihood path")
+
+        monkeypatch.setattr("gaussequiv.mle.gram", no_gram)
+        result = fit_mle(LikelihoodProblem(exp_family, design, y), ParamSpace([0.05, 0.05], [20.0, 20.0]))
+        assert np.all(np.isfinite(result.theta_hat))
+
+    def test_other_kernels_use_the_dense_gram(self, monkeypatch):
+        design = equispaced_interval_design(5, (0.1, 1.0))
+        problem = LikelihoodProblem(lambda th: BrownianKernel(float(th[0])), design, np.ones(5))
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("gaussequiv.mle.gram", reached)
+        with pytest.raises(Reached):
+            neg_log_likelihood(problem, [1.0])
+
     def test_singular_gram_penalized(self):
         # rank-1 spherical kernel on 3 points is singular for every theta
         design = Design.on_sphere(sphere_sequence(3, 3))
@@ -89,6 +132,13 @@ class TestFitMle:
         assert result.loglik >= -neg_log_likelihood(problem, [1.0, 1.0]) - 1e-6
         assert np.all(result.theta_hat >= space.lower) and np.all(result.theta_hat <= space.upper)
         assert result.loglik == pytest.approx(-neg_log_likelihood(problem, result.theta_hat), abs=1e-12)
+        assert result.maxfev_starts == 0
+
+    def test_counts_starts_that_hit_max_evals(self):
+        design, y = simulate(50, 1.0, 1.0, seed=5)
+        problem = LikelihoodProblem(exp_family, design, y)
+        result = fit_mle(problem, ParamSpace([0.05, 0.05], [20.0, 20.0]), OptimizerConfig(starts=2, max_evals=30))
+        assert result.maxfev_starts == 2
 
     def test_scale_family_closed_form(self):
         # family R_theta = theta * R1; the maximizer is y' R1^{-1} y / n

@@ -12,13 +12,17 @@ from gaussequiv import (
     BrownianKernel,
     Design,
     ExponentialKernel,
+    LikelihoodProblem,
     Point,
     SchoenbergKernel,
     SchoenbergSpectrum,
     chow_sum,
+    equispaced_interval_design,
     eval_kernel,
+    gaussian_logpdf,
     gram,
     j_divergence,
+    neg_log_likelihood,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -29,6 +33,13 @@ SETTINGS = settings(max_examples=25, deadline=None)
 J_RTOL = 1e-9
 
 positive = st.floats(0.2, 5.0)
+
+# sigma and beta log-uniform over the box of the ML experiment
+box_param = st.floats(np.log(0.05), np.log(20.0)).map(np.exp)
+
+# the Markov and dense likelihoods sum the same terms in different orders;
+# on these designs the dense Cholesky loses at most a few 1e-12 relative
+MARKOV_RTOL = 1e-10
 
 
 @st.composite
@@ -114,3 +125,22 @@ def test_chow_sum_unit_dimensions_is_grenander_form(masses):
         AtomicSpectralMeasure(labels, m1, ones), AtomicSpectralMeasure(labels, m2, ones), len(masses)
     )
     assert result.final == pytest.approx(float(np.sum((1.0 - m1 / m2) ** 2)), rel=1e-12, abs=1e-300)
+
+
+def _exponential_family(theta):
+    return ExponentialKernel(float(theta[0]), float(theta[1]))
+
+
+@SETTINGS
+@given(st.integers(1, 300), box_param, box_param, st.integers(0, 2**32 - 1))
+def test_markov_likelihood_matches_dense_oracle(n, sigma, beta, seed):
+    rng = np.random.default_rng(seed)
+    t = equispaced_interval_design(n).coords[:, 0]
+    y = rng.standard_normal(n)
+    perm = rng.permutation(n)
+    shuffled = Design.interval(t[perm])
+    value = neg_log_likelihood(LikelihoodProblem(_exponential_family, shuffled, y[perm]), [sigma, beta])
+    dense = -gaussian_logpdf(gram(ExponentialKernel(sigma, beta), shuffled), y[perm])
+    assert abs(value - dense) <= MARKOV_RTOL * max(1.0, abs(dense))
+    ordered = LikelihoodProblem(_exponential_family, Design.interval(t), y)
+    assert neg_log_likelihood(ordered, [sigma, beta]) == value
