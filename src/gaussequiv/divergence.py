@@ -8,7 +8,9 @@ covariances R1, R2 on n points is
 the sum of the two Kullback-Leibler divergences (their log-determinant terms
 cancel).  Along nested designs J(n) is non-decreasing; boundedness of the
 whole family is the equivalence side of the Gaussian dichotomy, linear
-growth the orthogonal side.  The diagnostic below turns a finite trace into
+growth the orthogonal side.  A nested trace factors each kernel once, on
+the largest design, and reads every J(n) off those factors as a cumulative
+sum of per-point increments.  The diagnostic below turns a finite trace into
 a labeled, threshold-based verdict and always ships the raw numbers with it.
 """
 
@@ -100,9 +102,14 @@ def j_divergence_trace(
 ) -> DivergenceTrace:
     """Evaluate J(n) for both kernels along strictly nested designs.
 
-    Designs must be prefix-extensions of each other.  Tiny negative values
-    from roundoff are clamped to zero so the trace is a valid nonnegative,
-    non-decreasing sequence.
+    Designs must be prefix-extensions of each other.  Each kernel's Gram
+    matrix is factored once, on the largest design: the Cholesky factor of
+    a prefix is the leading block of that factor, and so are the prefix
+    blocks of the lower-triangular ``M12 = L2^{-1} L1`` and
+    ``M21 = L1^{-1} L2``.  J(n) is therefore the cumulative sum over rows
+    i < n of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.  Each increment is
+    >= 0 in exact arithmetic (``M12[i, i] * M21[i, i] = 1``), so the only
+    negative values are roundoff near J = 0; those are clamped to zero.
     """
     designs = list(designs)
     if not designs:
@@ -110,9 +117,11 @@ def j_divergence_trace(
     if not is_prefix_nested(designs):
         raise ContractError("designs must be strictly nested prefix-extensions")
     sizes = tuple(len(d) for d in designs)
-    values = np.array(
-        [max(0.0, j_divergence(gram(k1, d), gram(k2, d))) for d in designs]
-    )
+    l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
+    m12 = solve_triangular(l2, l1, lower=True)
+    m21 = solve_triangular(l1, l2, lower=True)
+    steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
+    values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
     return DivergenceTrace(sizes=sizes, values=values, slope_estimate=_slope(sizes, values))
 
 

@@ -16,7 +16,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -233,30 +234,27 @@ def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
     xa = np.asarray(x, dtype=float)
     if np.max(np.abs(xa)) > 1.0 + 1e-12:
         raise ContractError("Gegenbauer argument must lie in [-1, 1]")
-    xa = np.clip(xa, -1.0, 1.0)
-    lam = (d - 2) / 2.0
-    g_prev = np.ones_like(xa)
-    if k == 0:
-        return float(g_prev) if scalar else g_prev
-    g = xa.copy()
-    for j in range(2, k + 1):
-        g, g_prev = (2 * (j + lam - 1) * xa * g - (j - 1) * g_prev) / (j + 2 * lam - 1), g
+    g = next(islice(_gegenbauer_terms(d, np.clip(xa, -1.0, 1.0)), k, None))
     return float(g) if scalar else g
 
 
-def _zonal_sum(d: int, coeffs: np.ndarray, hdims: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k coeffs[k] * h(k) * G_k(x), accumulated with a rolling recurrence."""
+def _gegenbauer_terms(d: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield G_0(x), G_1(x), ... by the normalized three-term recurrence."""
     lam = (d - 2) / 2.0
-    weights = coeffs * hdims
-    g_prev = np.ones_like(x)
-    acc = weights[0] * g_prev
-    if len(weights) == 1:
-        return acc
-    g = x.copy()
-    acc = acc + weights[1] * g
-    for k in range(2, len(weights)):
+    g_prev, g = np.ones_like(x), x.copy()
+    yield g_prev
+    for k in count(2):
+        yield g
         g, g_prev = (2 * (k + lam - 1) * x * g - (k - 1) * g_prev) / (k + 2 * lam - 1), g
-        acc = acc + weights[k] * g
+
+
+def _zonal_sum(d: int, coeffs: np.ndarray, hdims: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_k coeffs[k] * h(k) * G_k(x), accumulated left to right."""
+    weights = coeffs * hdims
+    terms = _gegenbauer_terms(d, x)
+    acc = weights[0] * next(terms)
+    for w, g in zip(weights[1:], terms):
+        acc = acc + w * g
     return acc
 
 

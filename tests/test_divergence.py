@@ -10,6 +10,9 @@ from gaussequiv import (
     Design,
     DivergenceTrace,
     ExponentialKernel,
+    SchoenbergKernel,
+    SchoenbergSpectrum,
+    SingularGramError,
     VerdictLabel,
     dichotomy_diagnostic,
     gaussian_logpdf,
@@ -20,7 +23,7 @@ from gaussequiv import (
     trace_to_csv,
     trace_to_json,
 )
-from gaussequiv.designs import dyadic_interval_designs
+from gaussequiv.designs import dyadic_interval_designs, fibonacci_sphere_designs
 
 from conftest import make_spd
 
@@ -144,6 +147,35 @@ class TestJDivergenceTrace:
         d2 = Design.interval([0.25, 0.75, 1.0])
         with pytest.raises(ContractError):
             j_divergence_trace(k, k, [d1, d2])
+
+    def test_one_factorization_per_kernel(self, monkeypatch):
+        calls = []
+
+        def recording_gram(kernel, design, *args, **kwargs):
+            calls.append(len(design))
+            return gram(kernel, design, *args, **kwargs)
+
+        monkeypatch.setattr("gaussequiv.divergence.gram", recording_gram)
+        j_divergence_trace(ExponentialKernel(1.0, 1.0), ExponentialKernel(1.0, 2.0), dyadic_interval_designs(128))
+        assert calls == [128, 128]
+
+    def test_schoenberg_matches_per_design(self):
+        k = np.arange(10.0)
+        a = (k + 1.0) ** -2
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, a))
+        k2 = SchoenbergKernel(SchoenbergSpectrum(3, a * (1.0 + 1.0 / (k + 1.0))))
+        designs = fibonacci_sphere_designs([10, 20, 40])
+        trace = j_divergence_trace(k1, k2, designs)
+        expected = [j_divergence(gram(k1, d), gram(k2, d)) for d in designs]
+        np.testing.assert_allclose(trace.values, expected, rtol=1e-9)
+
+    def test_singular_reports_first_failing_pivot(self):
+        # rank-4 spherical kernels (degrees 0 and 1 on S^2) meet a 5-point design
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, np.array([1.0, 1.0])))
+        k2 = SchoenbergKernel(SchoenbergSpectrum(3, np.array([2.0, 1.0])))
+        with pytest.raises(SingularGramError) as err:
+            j_divergence_trace(k1, k2, fibonacci_sphere_designs([2, 3, 4, 5]))
+        assert err.value.pivot == 4
 
 
 class TestDichotomyDiagnostic:

@@ -21,7 +21,9 @@ from gaussequiv import (
     eval_kernel,
     gaussian_logpdf,
     gram,
+    gegenbauer_normalized,
     j_divergence,
+    j_divergence_trace,
     neg_log_likelihood,
 )
 
@@ -87,6 +89,19 @@ def test_eval_kernel_is_matrix_entry(kernel_coords, data):
 
 
 @SETTINGS
+@given(st.sampled_from([3, 4, 7]), st.data())
+def test_schoenberg_matrix_is_gegenbauer_sum(d, data):
+    coords = data.draw(sphere_coords(d=d).filter(len))
+    coeffs = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40)))
+    spectrum = SchoenbergSpectrum(d, coeffs)
+    dots = np.clip((coords[:, None, :] * coords[None, :, :]).sum(axis=-1), -1.0, 1.0)
+    expected = 0.0
+    for k, (a, h) in enumerate(zip(coeffs, spectrum.harmonic_dims)):
+        expected = expected + a * h * gegenbauer_normalized(k, d, dots)
+    assert SchoenbergKernel(spectrum).matrix(coords).tobytes() == expected.tobytes()
+
+
+@SETTINGS
 @given(st.one_of(interval_coords().map(Design.interval), sphere_coords().filter(len).map(Design.on_sphere)), st.data())
 def test_design_json_roundtrip_and_prefix(design, data):
     again = Design.from_json(json.loads(json.dumps(design.to_json())))
@@ -112,6 +127,10 @@ def test_j_divergence_symmetric_nonnegative_monotone(t, s1, b1, s2, b2):
         values.append(j)
     for m, (a, b) in enumerate(zip(values, values[1:]), start=2):
         assert b >= a - J_RTOL * (m + b)
+    trace = j_divergence_trace(k1, k2, [design.prefix(m) for m in range(1, len(design) + 1)])
+    for m, (got, j) in enumerate(zip(trace.values, values), start=1):
+        want = max(0.0, j)
+        assert abs(got - want) <= J_RTOL * (m + want)
 
 
 @SETTINGS
