@@ -173,28 +173,28 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
     return EXIT_OK
 
 
+def _optimizer_from_config(obj: dict) -> OptimizerConfig:
+    """OptimizerConfig from the keys present in ``obj``, each cast to its default's type."""
+    defaults = OptimizerConfig()
+    unknown = sorted(set(obj) - set(vars(defaults)))
+    if unknown:
+        raise ContractError(f"unknown optimizer key(s): {', '.join(unknown)}")
+    return OptimizerConfig(**{k: type(getattr(defaults, k))(v) for k, v in obj.items()})
+
+
 def _run_mle(config: dict, outdir: Path, seed, args) -> int:
     if seed is None:
         raise ContractError("mle requires a seed (config key 'seed' or --seed)")
-    opt_cfg = config.get("optimizer", {})
-    optimizer = OptimizerConfig(
-        starts=int(opt_cfg.get("starts", 5)),
-        tol_x=float(opt_cfg.get("tol_x", 1e-6)),
-        tol_f=float(opt_cfg.get("tol_f", 1e-9)),
-        max_evals=int(opt_cfg.get("max_evals", 2000)),
-        transform=str(opt_cfg.get("transform", "log")),
-    )
-    box = config.get("box", [[0.05, 0.05], [20.0, 20.0]])
+    present = {k: tuple(map(float, config[k])) for k in ("theta0", "domain") if k in config}
+    if "box" in config:
+        present["box_lower"], present["box_upper"] = (tuple(map(float, b)) for b in config["box"])
     exp_config = ExperimentConfig(
         n_grid=tuple(int(n) for n in config["n_grid"]),
         replicates=int(config["replicates"]),
         seed=int(seed),
-        theta0=tuple(float(t) for t in config.get("theta0", (1.0, 1.0))),
-        domain=tuple(float(t) for t in config.get("domain", (0.0, 1.0))),
-        box_lower=tuple(float(t) for t in box[0]),
-        box_upper=tuple(float(t) for t in box[1]),
-        optimizer=optimizer,
-        workers=max(1, int(args.threads)),
+        optimizer=_optimizer_from_config(config.get("optimizer", {})),
+        workers=int(args.threads),
+        **present,
     )
     report = microergodic_experiment(exp_config)
     report_to_csv(report, outdir / "consistency.csv")

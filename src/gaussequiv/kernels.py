@@ -319,7 +319,11 @@ class CovarianceKernel(ABC):
 
     @abstractmethod
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Dense kernel matrix over an (n, d) coordinate array of that geometry."""
+        """Dense kernel matrix over an (n, d) coordinate array of that geometry.
+
+        The result must be a new array: :func:`gram` takes it over as the
+        read-only ``entries`` of its :class:`GramMatrix` without copying.
+        """
 
 
 @dataclass(frozen=True)
@@ -405,56 +409,51 @@ class GramMatrix:
         """Solve ``L x = b`` against the cached lower factor."""
         return solve_triangular(self.chol, b, lower=True)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``R x = b`` via the two triangular solves."""
-        y = solve_triangular(self.chol, b, lower=True)
-        return solve_triangular(self.chol.T, y, lower=False)
 
-
-def gram_from_matrix(entries: np.ndarray, jitter: float = 0.0) -> GramMatrix:
+def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
     """Factor an explicit symmetric matrix into a :class:`GramMatrix`.
+
+    ``entries`` is copied once, so later changes to the caller's array do not
+    reach the result; the returned ``entries`` and ``chol`` are read-only.
 
     Parameters
     ----------
     entries : ndarray
         Square matrix, symmetric to 1e-12 relative.
-    jitter : float
-        Optional diagonal boost for exploratory use.  Defaults to 0; when
-        nonzero it is added before factorization and the stored entries
-        include it, so the cached factor always matches ``entries``.
 
     Raises
     ------
     SingularGramError
-        If the (jittered) matrix is not numerically positive definite; the
-        error carries the zero-based index of the failing pivot.
+        If the matrix is not numerically positive definite; the error
+        carries the zero-based index of the failing pivot.
     """
-    a = np.array(entries, dtype=float)
+    return _factor(np.array(entries, dtype=float))
+
+
+def _factor(a: np.ndarray) -> GramMatrix:
+    """Check and factor the float matrix ``a``; the result takes ``a`` over as ``entries``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("Gram entries must form a square matrix")
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
         raise ContractError("Gram entries must be symmetric")
-    if jitter < 0:
-        raise ContractError("jitter must be nonnegative")
-    if jitter:
-        a = a + jitter * np.eye(a.shape[0])
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info != 0:
         raise SingularGramError(pivot=int(info) - 1)
     log_det = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return GramMatrix(entries=_readonly(a), chol=_readonly(c), log_det=log_det)
+    a.flags.writeable = False
+    c.flags.writeable = False
+    return GramMatrix(entries=a, chol=c, log_det=log_det)
 
 
-def gram(kernel: CovarianceKernel, design: Design, jitter: float = 0.0) -> GramMatrix:
+def gram(kernel: CovarianceKernel, design: Design) -> GramMatrix:
     """Assemble and factor the kernel matrix of ``kernel`` over ``design``.
 
-    Fails hard (``SingularGramError``) when the matrix is not numerically
-    positive definite; pass a small ``jitter`` only for exploratory work,
-    since regularization biases divergence values.
+    The new array from ``kernel.matrix`` becomes ``entries`` uncopied.  Fails
+    hard (``SingularGramError``) when it is not numerically positive definite.
     """
     require_geometry(kernel, design)
-    return gram_from_matrix(kernel.matrix(design.coords), jitter=jitter)
+    return _factor(np.asarray(kernel.matrix(design.coords), dtype=float))
 
 
 def require_geometry(kernel: CovarianceKernel, design: Design) -> None:

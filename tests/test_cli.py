@@ -217,6 +217,18 @@ class TestMle:
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
+        assert run(["mle", "--config", cfg, "--out", tmp_path / "out", "--threads", threads]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_optimizer_key_rejected(self, tmp_path, capsys):
+        config = dict(self.CONFIG, optimizer={"starts": 2, "max_eval": 10})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "max_eval" in capsys.readouterr().err
+
 
 class TestCommonBehavior:
     def test_malformed_json_exit_code(self, tmp_path):

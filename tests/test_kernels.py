@@ -5,6 +5,7 @@ from scipy.special import eval_gegenbauer
 from gaussequiv import (
     BrownianKernel,
     ContractError,
+    CovarianceKernel,
     Design,
     ExponentialKernel,
     Geometry,
@@ -101,13 +102,35 @@ class TestGram:
             gram(SchoenbergKernel(spectrum), design)
         assert exc.value.pivot == 4
 
-    def test_jitter_allows_factorization(self):
-        spectrum = SchoenbergSpectrum(3, np.array([1.0, 1.0]))
-        design = Design.on_sphere(sphere_sequence(5, 3))
-        g = gram(SchoenbergKernel(spectrum), design, jitter=1e-8)
-        assert g.n == 5
-        # entries include the jitter so the cached factor matches them
-        assert g.entries[0, 0] == pytest.approx(4.0 + 1e-8, rel=1e-12)
+    def test_gram_from_matrix_owns_one_copy(self, rng):
+        a = make_spd(rng, 6)
+        g = gram_from_matrix(a)
+        assert a.flags.writeable
+        assert not np.shares_memory(g.entries, a)
+        entries, chol = g.entries.copy(), g.chol.copy()
+        a[:] = 0.0
+        np.testing.assert_array_equal(g.entries, entries)
+        np.testing.assert_array_equal(g.chol, chol)
+
+    def test_arrays_read_only(self, rng):
+        grams = [
+            gram_from_matrix(make_spd(rng, 4)),
+            gram(ExponentialKernel(sigma=1.0, beta=1.0), Design.interval([0.0, 0.5, 1.0])),
+        ]
+        for g in grams:
+            assert not g.entries.flags.writeable
+            assert not g.chol.flags.writeable
+
+    def test_gram_takes_kernel_matrix_uncopied(self):
+        held = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+        class HeldKernel(CovarianceKernel):
+            geometry = Geometry.euclidean(1)
+
+            def matrix(self, coords):
+                return held
+
+        assert gram(HeldKernel(), Design.interval([0.1, 0.4])).entries is held
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
