@@ -1,7 +1,8 @@
 """Pinned SHA-256 digests of CLI outputs.
 
 The configs are those of the acceptance determinism check, plus two
-``sample`` runs on a dyadic and on an explicit design.  Each digest covers
+``sample`` runs on a dyadic and on an explicit design and two ``chow`` runs
+with a power-law tail model, with and without ``weight_bound``.  Each digest covers
 one output file byte for byte, so a changed digest means a changed output;
 refactors must leave every digest as it is.  At these sizes the digests do
 not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
@@ -29,6 +30,15 @@ RUNS = {
         "ratio_model": {"type": "power", "c": 1.0, "s": 2.0},
     }),
     "chow": ("chow", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}),
+    "chow_tail": ("chow", {
+        "measure1": "m1.json", "measure2": "m2.json", "N": 2,
+        "ratio_model": {"type": "power", "c": 1.0, "s": 2.0},
+    }),
+    "chow_tail_bound": ("chow", {
+        "measure1": "m1.json", "measure2": "m2.json", "N": 2,
+        "ratio_model": {"type": "power", "c": 1.0, "s": 2.0},
+        "weight_bound": 3.0,
+    }),
     "sample": ("sample", {
         "kernel": {"variant": "exponential", "sigma": 1.0, "beta": 1.0},
         "design": {"type": "equispaced_interval", "n": 8, "domain": [0, 1]},
@@ -62,6 +72,10 @@ RUNS = {
 GOLDEN = {
     "chow/criterion.csv": "3f9192bd467a5816dad910cfb9888a4c15383a348e17726628efc7cb7f9d565e",
     "chow/verdict.json": "68d28940f884aa35de67a28c431a04b4c63528513c7c0205db53a7e065650597",
+    "chow_tail/criterion.csv": "3f9192bd467a5816dad910cfb9888a4c15383a348e17726628efc7cb7f9d565e",
+    "chow_tail/verdict.json": "011bc6e102f683da06ed3940437342b21638269d16cf12ca92be68f4b987f975",
+    "chow_tail_bound/criterion.csv": "3f9192bd467a5816dad910cfb9888a4c15383a348e17726628efc7cb7f9d565e",
+    "chow_tail_bound/verdict.json": "cb30644745d4040312bbde761715b9b28f4c46183480496b6c793dd444636779",
     "jdiv/trace.csv": "dd3433cb33aa4e69a91398a212abaa48c6f7fe5c0c6b3eafb102bdf5e00aace9",
     "jdiv/verdict.json": "5bbe1ad6dcc5ef92bfb9f7d8f4b13ebefca6f906debfde1920d6fcf4a3282348",
     "mle/consistency.csv": "4805057c5fbf596705135a484d586bcf38d0526c6301ee56f11370a4b08f547c",
