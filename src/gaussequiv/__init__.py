@@ -23,7 +23,6 @@ from .kernels import (
     ExponentialKernel,
     Geometry,
     GramMatrix,
-    Point,
     SchoenbergKernel,
     SchoenbergSpectrum,
     eval_kernel,

@@ -62,7 +62,11 @@ class RunManifest:
     timestamp: str
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(self.__dict__, indent=2) + "\n")
+        _write_json(path, self.__dict__)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _fail(msg: str, code: int) -> int:
@@ -95,14 +99,10 @@ def _nested_designs_from_config(obj: dict) -> list[Design]:
     raise ContractError(f"unknown nested design type {kind!r}")
 
 
-def _criterion_verdict_json(result: CriterionResult, extra: dict) -> dict:
-    out = {
-        "verdict": result.verdict.value,
-        "final": result.final,
-        "tail_bound": result.tail_bound,
-    }
-    out.update(extra)
-    return out
+def _write_criterion(result: CriterionResult, outdir: Path, index_name: str, extra: dict) -> None:
+    criterion_to_csv(result, outdir / "criterion.csv", index_name)
+    verdict = {"verdict": result.verdict.value, "final": result.final, "tail_bound": result.tail_bound}
+    _write_json(outdir / "verdict.json", {**verdict, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def _run_jdiv(config: dict, outdir: Path, seed, args) -> int:
     trace = j_divergence_trace(k1, k2, designs)
     verdict = dichotomy_diagnostic(trace)
     trace_to_csv(trace, outdir / "trace.csv")
-    (outdir / "verdict.json").write_text(json.dumps(trace_to_json(trace, verdict), indent=2) + "\n")
+    _write_json(outdir / "verdict.json", trace_to_json(trace, verdict))
     return EXIT_OK
 
 
@@ -135,9 +135,7 @@ def _run_sphere(config: dict, outdir: Path, seed, args) -> int:
     else:
         raise ContractError("config must provide explicit spectra or a ratio_model")
     result = sphere_equivalence_sum(s1, s2, last_k, tail_model=model)
-    criterion_to_csv(result, outdir / "criterion.csv", "k")
-    payload = _criterion_verdict_json(result, {"sphere_dim": d, "K": last_k})
-    (outdir / "verdict.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_criterion(result, outdir, "k", {"sphere_dim": d, "K": last_k})
     return EXIT_OK
 
 
@@ -147,11 +145,8 @@ def _run_chow(config: dict, outdir: Path, seed, args) -> int:
     m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
     n_atoms = int(config["N"])
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
-    weight_bound = config.get("weight_bound")
-    result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=weight_bound)
-    criterion_to_csv(result, outdir / "criterion.csv", "n")
-    payload = _criterion_verdict_json(result, {"N": n_atoms})
-    (outdir / "verdict.json").write_text(json.dumps(payload, indent=2) + "\n")
+    result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=config.get("weight_bound"))
+    _write_criterion(result, outdir, "n", {"N": n_atoms})
     return EXIT_OK
 
 
@@ -169,7 +164,7 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
         "design": design.to_json(),
         "replicates": m,
     }
-    (outdir / "sample_meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_json(outdir / "sample_meta.json", sidecar)
     return EXIT_OK
 
 
@@ -237,7 +232,7 @@ config keys:
                      format {"atoms": [{"label": "k0", "mass": 1.0, "dim": 1}, ...]}
   N                  number of leading atoms to sum
   ratio_model        optional closed-form tail model (see sphere)
-  weight_bound       optional bound on atom dimensions beyond N (default: max seen)
+  weight_bound       optional bound >= 1 on atom dimensions beyond N (default: max seen)
 outputs: criterion.csv (n,term,partial_sum), verdict.json, manifest.json""",
     "sample": """\
 config keys:
@@ -258,7 +253,7 @@ config keys:
   domain             observation interval, default [0.0, 1.0]
   box                parameter box [[lo_sigma, lo_beta], [hi_sigma, hi_beta]],
                      default [[0.05, 0.05], [20.0, 20.0]]
-  optimizer          optional overrides: starts, tol_x, tol_f, max_evals, transform
+  optimizer          optional overrides: starts, tol_x, tol_f, max_evals
 outputs: consistency.csv (n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates),
          manifest.json""",
 }

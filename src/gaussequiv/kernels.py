@@ -27,7 +27,6 @@ from .errors import ContractError, SingularGramError
 
 __all__ = [
     "Geometry",
-    "Point",
     "Design",
     "SchoenbergSpectrum",
     "CovarianceKernel",
@@ -47,12 +46,6 @@ __all__ = [
 
 SPHERE_NORM_TOL = 1e-12
 SYMMETRY_RTOL = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -77,26 +70,6 @@ class Geometry:
         if dim < 2:
             raise ContractError("sphere geometry needs ambient dimension >= 2")
         return Geometry("sphere", dim)
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A single evaluation site, stored as a coordinate vector (the argument of eval_kernel)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _readonly(np.atleast_1d(self.coords)))
-        if self.coords.ndim != 1:
-            raise ContractError("point coordinates must be a 1-d vector")
-
-    @staticmethod
-    def scalar(x: float) -> "Point":
-        return Point(np.array([float(x)]))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
 
 
 def _points_array(points, geometry: Geometry) -> np.ndarray:
@@ -273,7 +246,9 @@ class SchoenbergSpectrum:
     def __post_init__(self):
         if self.sphere_dim < 3:
             raise ContractError("Schoenberg spectrum requires sphere_dim >= 3")
-        object.__setattr__(self, "coeffs", _readonly(np.atleast_1d(self.coeffs)))
+        coeffs = np.array(np.atleast_1d(self.coeffs), dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
             raise ContractError("coefficients must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(self.coeffs)):
@@ -463,14 +438,14 @@ def require_geometry(kernel: CovarianceKernel, design: Design) -> None:
         raise ContractError(f"{name} acts on {kernel.geometry}, not {design.geometry}")
 
 
-def eval_kernel(kernel: CovarianceKernel, s: Point, t: Point) -> float:
-    """Evaluate ``R(s, t)`` after validating both points against the kernel.
+def eval_kernel(kernel: CovarianceKernel, s, t) -> float:
+    """Evaluate ``R(s, t)`` at two coordinate vectors (or two scalars on the line).
 
     The points pass the same checks as design points on the kernel's
     geometry (they may coincide), and the value is the off-diagonal entry of
     the kernel matrix on ``(s, t)``.
     """
-    return float(kernel.matrix(_points_array((s.coords, t.coords), kernel.geometry))[0, 1])
+    return float(kernel.matrix(_points_array((s, t), kernel.geometry))[0, 1])
 
 
 # ---------------------------------------------------------------------------

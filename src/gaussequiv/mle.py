@@ -2,8 +2,8 @@
 
 Fitting is a derivative-free simplex search (Nelder-Mead) run from several
 deterministic starts.  Box constraints are enforced through a smooth
-unconstrained reparameterization: a sigmoid maps R to the box either on the
-log scale of the parameters (default) or on the natural scale.  Singular
+unconstrained reparameterization: a sigmoid maps R to the box on the log
+scale of the parameters, so the box must be positive.  Singular
 Gram matrices encountered during the search return a large penalty value
 instead of raising, which keeps the objective total over the box.
 
@@ -119,13 +119,10 @@ class OptimizerConfig:
     tol_x: float = 1e-6
     tol_f: float = 1e-9
     max_evals: int = 2000
-    transform: str = "log"
 
     def __post_init__(self):
         if self.starts < 1:
             raise ContractError("need at least one start")
-        if self.transform not in ("log", "natural"):
-            raise ContractError("transform must be 'log' or 'natural'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +183,15 @@ def _markov_nll(kernel: ExponentialKernel, y: np.ndarray, dt: np.ndarray) -> flo
     return 0.5 * float(e @ (e / v) + np.log(v).sum()) + 0.5 * len(y) * LOG_2PI
 
 
-def _box_maps(space: ParamSpace, transform: str):
-    if transform == "log":
-        if np.any(space.lower <= 0):
-            raise ContractError("log transform requires strictly positive lower bounds")
-        lo, hi = np.log(space.lower), np.log(space.upper)
-        return lambda u: np.exp(lo + (hi - lo) * expit(u))
-    lo, hi = space.lower, space.upper
-    return lambda u: lo + (hi - lo) * expit(u)
+def _box_map(space: ParamSpace):
+    if np.any(space.lower <= 0):
+        raise ContractError("log transform requires strictly positive lower bounds")
+    lo, hi = np.log(space.lower), np.log(space.upper)
+    return lambda u: np.exp(lo + (hi - lo) * expit(u))
 
 
 def _start_points(space: ParamSpace, starts: int) -> list[np.ndarray]:
-    # u = 0 is the box center of the chosen scale; the rest interpolate the
+    # u = 0 is the center of the log box; the rest interpolate the
     # box at fixed low-discrepancy fractions
     points = [np.zeros(space.p)]
     if starts > 1:
@@ -217,7 +211,7 @@ def fit_mle(
     :class:`OptimizationFailedError` when every start terminates on the
     singularity penalty.
     """
-    to_theta = _box_maps(space, config.transform)
+    to_theta = _box_map(space)
     counter = {"evals": 0, "penalized": 0}
 
     def objective(u: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Spectral equivalence criteria for stationary Gaussian distributions.
 
-Two kinds of criterion sums are computed.  On the sphere, the weighted sum
-``sum_k h(k) (1 - a1(k)/a2(k))^2`` over Schoenberg coefficients decides
-equivalence of the corresponding isotropic Gaussian laws.  For purely atomic
-spectral measures the analogue is the dimension-weighted atom sum
-``sum_n d(a_n) (1 - m1(a_n)/m2(a_n))^2``; with all dimensions equal to one
-this is the classical criterion on locally compact abelian groups.
+One series decides equivalence: the dimension-weighted atom sum
+``sum_n d(a_n) (1 - m1(a_n)/m2(a_n))^2`` over a purely atomic spectrum.
+With all dimensions equal to one it is the classical criterion on locally
+compact abelian groups; on the sphere the atoms are the degrees k, with
+weights ``h(k)`` and mass ratios ``a1(k)/a2(k)`` of the Schoenberg
+coefficients, which gives ``sum_k h(k) (1 - a1(k)/a2(k))^2``.
 
 Partial sums alone never prove convergence, so verdicts are only issued when
 either the stored lists are the entire (finitely supported) spectrum, or a
@@ -15,6 +15,7 @@ closed-form ratio model supplies an analytic tail bound.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +74,17 @@ class AtomicSpectralMeasure:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        dims = np.atleast_1d(np.asarray(self.dims, dtype=int))
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "dims", dims)
+        dims = np.atleast_1d(np.asarray(self.dims, dtype=float))
         if not (len(self.labels) == len(masses) == len(dims)):
             raise ContractError("labels, masses and dims must have equal length")
         if len(set(self.labels)) != len(self.labels):
             raise ContractError("atom labels must be unique")
-        if not np.all(masses > 0):
-            raise ContractError("atom masses must be strictly positive")
-        if not np.all(dims >= 1):
+        if not np.all((masses > 0) & (masses < math.inf)):
+            raise ContractError("atom masses must be finite and strictly positive")
+        if not np.all((dims >= 1) & (dims < math.inf) & (dims == np.floor(dims))):
             raise ContractError("atom dimensions must be integers >= 1")
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "dims", dims.astype(int))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -98,7 +99,7 @@ class AtomicSpectralMeasure:
         return AtomicSpectralMeasure(
             labels=tuple(str(a["label"]) for a in atoms),
             masses=np.array([float(a["mass"]) for a in atoms]),
-            dims=np.array([int(a["dim"]) for a in atoms]),
+            dims=np.array([float(a["dim"]) for a in atoms]),
         )
 
     def to_json(self) -> dict:
@@ -118,19 +119,16 @@ class AtomicSpectralMeasure:
 class RatioModel:
     """Closed-form model of the coefficient ratio a1(k)/a2(k) for all k.
 
-    Subclasses that understand their own tails override the two assessment
-    hooks; the base class declines to judge, yielding Inconclusive verdicts.
+    Subclasses that understand their own tails override :meth:`tail`; the
+    base class declines to judge, yielding Inconclusive verdicts.
     """
 
     def ratio(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tail_sphere(self, sphere_dim: int, last_k: int) -> tuple[Verdict, float | None]:
-        """Verdict for the sphere sum with harmonic-dimension weights."""
-        return Verdict.INCONCLUSIVE, None
-
-    def tail_flat(self, last_n: int, weight_bound: float = 1.0) -> tuple[Verdict, float | None]:
-        """Verdict for an atom sum whose dimensions stay below weight_bound."""
+    def tail(self, power: float, scale: float, last: int) -> tuple[Verdict, float | None]:
+        """Verdict and upper bound for ``sum_{j>last} w_j (1 - ratio(j))^2``
+        given weights ``w_j <= scale (j+1)^power``."""
         return Verdict.INCONCLUSIVE, None
 
 
@@ -149,14 +147,14 @@ class PowerLawRatio(RatioModel):
     s: float
 
     def __post_init__(self):
-        if self.c <= -1.0:
-            raise ContractError("ratio offset c must exceed -1 to keep coefficients positive")
+        if not (-1.0 < self.c < math.inf and math.isfinite(self.s)):
+            raise ContractError("power ratio needs finite s and finite c > -1 (positive coefficients)")
 
     def ratio(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
         return 1.0 + self.c * (k + 1.0) ** (-self.s)
 
-    def _tail(self, power: float, scale: float, last: int) -> tuple[Verdict, float | None]:
+    def tail(self, power: float, scale: float, last: int) -> tuple[Verdict, float | None]:
         if self.c == 0.0:
             return Verdict.FINITE, 0.0
         if 2.0 * self.s <= power + 1.0:
@@ -164,12 +162,6 @@ class PowerLawRatio(RatioModel):
         expo = power - 2.0 * self.s
         bound = scale * self.c**2 * (last + 1.0) ** (expo + 1.0) / (-expo - 1.0)
         return Verdict.FINITE, float(bound)
-
-    def tail_sphere(self, sphere_dim: int, last_k: int) -> tuple[Verdict, float | None]:
-        return self._tail(power=sphere_dim - 2.0, scale=2.0, last=last_k)
-
-    def tail_flat(self, last_n: int, weight_bound: float = 1.0) -> tuple[Verdict, float | None]:
-        return self._tail(power=0.0, scale=float(weight_bound), last=last_n)
 
 
 @dataclass(frozen=True)
@@ -179,22 +171,16 @@ class ConstantRatio(RatioModel):
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ContractError("constant ratio must be strictly positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ContractError("constant ratio must be finite and strictly positive")
 
     def ratio(self, k: np.ndarray) -> np.ndarray:
         return np.full(np.shape(k), self.alpha, dtype=float)
 
-    def _tail(self) -> tuple[Verdict, float | None]:
+    def tail(self, power: float, scale: float, last: int) -> tuple[Verdict, float | None]:
         if self.alpha == 1.0:
             return Verdict.FINITE, 0.0
         return Verdict.DIVERGENT, None
-
-    def tail_sphere(self, sphere_dim: int, last_k: int) -> tuple[Verdict, float | None]:
-        return self._tail()
-
-    def tail_flat(self, last_n: int, weight_bound: float = 1.0) -> tuple[Verdict, float | None]:
-        return self._tail()
 
 
 def ratio_model_from_json(obj: dict) -> RatioModel:
@@ -235,6 +221,22 @@ def _pad(coeffs: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _criterion(indices, weights, num, den, tail_model, power, scale) -> CriterionResult:
+    """Partial sums of ``sum_j w_j (1 - num_j/den_j)^2``, a term with ``den_j = 0`` being 0.
+
+    Without a tail model the terms are the whole series; with one the
+    verdict and bound come from ``tail_model.tail(power, scale, indices[-1])``.
+    """
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0)
+    terms = weights * (1.0 - ratio) ** 2
+    partial = np.cumsum(terms)
+    if tail_model is None:
+        verdict, tail = Verdict.FINITE, 0.0
+    else:
+        verdict, tail = tail_model.tail(power, scale, int(indices[-1]))
+    return CriterionResult(indices, terms, partial, float(partial[-1]), verdict, tail)
+
+
 def sphere_equivalence_sum(
     s1: SchoenbergSpectrum,
     s2: SchoenbergSpectrum,
@@ -248,7 +250,7 @@ def sphere_equivalence_sum(
     already settle the dichotomy on the orthogonal side.  Without a tail
     model the stored lists are taken to be the whole spectra, so the sum is
     finite by construction; with a model the verdict and tail bound come
-    from the model's analytic tail.
+    from the model's tail with ``h(k) <= 2 (k+1)^(d-2)``.
     """
     if s1.sphere_dim != s2.sphere_dim:
         raise ContractError("spectra must share the sphere dimension")
@@ -264,22 +266,7 @@ def sphere_equivalence_sum(
             "the distributions are orthogonal"
         )
     h = harmonic_dimensions(s1.sphere_dim, last_k)
-    terms = np.zeros(last_k + 1)
-    shared = a2 > 0
-    terms[shared] = h[shared] * (1.0 - a1[shared] / a2[shared]) ** 2
-    partial = np.cumsum(terms)
-    if tail_model is None:
-        verdict, tail = Verdict.FINITE, 0.0
-    else:
-        verdict, tail = tail_model.tail_sphere(s1.sphere_dim, last_k)
-    return CriterionResult(
-        indices=np.arange(last_k + 1),
-        terms=terms,
-        partial_sums=partial,
-        final=float(partial[-1]),
-        verdict=verdict,
-        tail_bound=tail,
-    )
+    return _criterion(np.arange(last_k + 1), h, a1, a2, tail_model, s1.sphere_dim - 2.0, 2.0)
 
 
 def chow_sum(
@@ -294,7 +281,9 @@ def chow_sum(
     The first ``n_atoms`` atoms of both measures must align label by label;
     any mismatch raises :class:`AtomMismatchError`.  With every dimension
     equal to one this reduces to the unweighted criterion for stationary
-    processes on locally compact abelian groups.
+    processes on locally compact abelian groups.  A tail model bounds the
+    dimensions beyond ``n_atoms`` by ``tail_weight_bound`` (finite, >= 1;
+    default the largest dimension summed).
     """
     if n_atoms < 1:
         raise ContractError("n_atoms must be >= 1")
@@ -306,23 +295,14 @@ def chow_sum(
                 f"atom {i} differs: {m1.labels[i]!r} vs {m2.labels[i]!r}; "
                 "the distributions are orthogonal"
             )
-    if np.any(m1.dims[:n_atoms] != m2.dims[:n_atoms]):
+    dims = m1.dims[:n_atoms]
+    if np.any(dims != m2.dims[:n_atoms]):
         raise ContractError("aligned atoms must carry equal dimensions")
-    ratio = m1.masses[:n_atoms] / m2.masses[:n_atoms]
-    terms = m1.dims[:n_atoms] * (1.0 - ratio) ** 2
-    partial = np.cumsum(terms)
-    if tail_model is None:
-        verdict, tail = Verdict.FINITE, 0.0
-    else:
-        bound = float(tail_weight_bound) if tail_weight_bound is not None else float(np.max(m1.dims[:n_atoms]))
-        verdict, tail = tail_model.tail_flat(n_atoms, weight_bound=bound)
-    return CriterionResult(
-        indices=np.arange(1, n_atoms + 1),
-        terms=terms,
-        partial_sums=partial,
-        final=float(partial[-1]),
-        verdict=verdict,
-        tail_bound=tail,
+    bound = float(np.max(dims) if tail_weight_bound is None else tail_weight_bound)
+    if not 1.0 <= bound < math.inf:
+        raise ContractError("tail weight bound must be finite and >= 1")
+    return _criterion(
+        np.arange(1, n_atoms + 1), dims, m1.masses[:n_atoms], m2.masses[:n_atoms], tail_model, 0.0, bound
     )
 
 

@@ -117,6 +117,20 @@ class TestSphere:
         )
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 4
 
+    def test_nan_ratio_model_exit_code(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "sphere_dim": 3,
+                "K": 2,
+                "spectrum1": [1.0, 2.0, 1.0],
+                "spectrum2": [1.0, 1.0, 1.0],
+                "ratio_model": {"type": "power", "c": float("nan"), "s": 2.0},
+            },
+        )
+        assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
 
 class TestChow:
     def _measures(self, tmp_path):
@@ -155,6 +169,18 @@ class TestChow:
             tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 1}
         )
         assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 4
+
+    @pytest.mark.parametrize("field, value", [("mass", float("inf")), ("dim", 2.7)])
+    def test_invalid_atom_exit_code(self, tmp_path, field, value):
+        self._measures(tmp_path)
+        for name in ("m1.json", "m2.json"):
+            bad = json.loads((tmp_path / name).read_text())
+            bad["atoms"][1][field] = value
+            (tmp_path / name).write_text(json.dumps(bad))
+        cfg = write_config(
+            tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}
+        )
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
 
 class TestSample:
@@ -228,6 +254,12 @@ class TestMle:
         cfg = write_config(tmp_path, "cfg.json", config)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "max_eval" in capsys.readouterr().err
+
+    def test_transform_key_rejected(self, tmp_path, capsys):
+        config = dict(self.CONFIG, optimizer={"transform": "log"})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "transform" in capsys.readouterr().err
 
 
 class TestCommonBehavior:

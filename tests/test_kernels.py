@@ -9,7 +9,6 @@ from gaussequiv import (
     Design,
     ExponentialKernel,
     Geometry,
-    Point,
     SchoenbergKernel,
     SchoenbergSpectrum,
     SingularGramError,
@@ -29,17 +28,17 @@ from conftest import make_spd, random_unit_vectors
 class TestEvalKernel:
     def test_brownian_direct(self):
         k = BrownianKernel(sigma=2.0)
-        assert eval_kernel(k, Point.scalar(0.3), Point.scalar(0.7)) == 4.0 * 0.3
+        assert eval_kernel(k, 0.3, 0.7) == 4.0 * 0.3
 
     def test_exponential_diagonal(self):
         k = ExponentialKernel(sigma=1.0, beta=1.0)
-        assert eval_kernel(k, Point.scalar(0.4), Point.scalar(0.4)) == 1.0
+        assert eval_kernel(k, 0.4, 0.4) == 1.0
 
     def test_schoenberg_diagonal(self):
         # R(t, t) = a(0) h(0) + a(1) h(1) = 1 + 3 with h(k) = 2k+1 for d = 3
         spectrum = SchoenbergSpectrum(3, np.array([1.0, 1.0, 0.0]))
         k = SchoenbergKernel(spectrum)
-        t = Point(np.array([0.0, 0.0, 1.0]))
+        t = np.array([0.0, 0.0, 1.0])
         assert eval_kernel(k, t, t) == pytest.approx(4.0, rel=1e-12)
 
     def test_symmetry_exact(self, rng):
@@ -49,22 +48,22 @@ class TestEvalKernel:
         ]
         for k in kernels:
             for _ in range(50):
-                s, t = Point.scalar(rng.uniform(0, 2)), Point.scalar(rng.uniform(0, 2))
+                s, t = rng.uniform(0, 2), rng.uniform(0, 2)
                 assert eval_kernel(k, s, t) == eval_kernel(k, t, s)
         spectrum = SchoenbergSpectrum(3, rng.uniform(0.1, 1.0, 6))
         k = SchoenbergKernel(spectrum)
         for u, v in zip(random_unit_vectors(rng, 50, 3), random_unit_vectors(rng, 50, 3)):
-            assert eval_kernel(k, Point(u), Point(v)) == eval_kernel(k, Point(v), Point(u))
+            assert eval_kernel(k, u, v) == eval_kernel(k, v, u)
 
     def test_geometry_mismatch(self):
         k = BrownianKernel(sigma=1.0)
         with pytest.raises(ContractError):
-            eval_kernel(k, Point.scalar(-0.1), Point.scalar(0.5))
+            eval_kernel(k, -0.1, 0.5)
         with pytest.raises(ContractError):
-            eval_kernel(k, Point(np.array([0.1, 0.2])), Point.scalar(0.5))
+            eval_kernel(k, np.array([0.1, 0.2]), 0.5)
         ks = SchoenbergKernel(SchoenbergSpectrum(3, np.array([1.0])))
         with pytest.raises(ContractError):
-            eval_kernel(ks, Point(np.array([0.5, 0.5, 0.5])), Point(np.array([0.0, 0.0, 1.0])))
+            eval_kernel(ks, np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.0, 1.0]))
 
 
 class TestGram:
@@ -239,8 +238,7 @@ class TestSchoenbergSpectrum:
         spectrum = SchoenbergSpectrum(3, rng.uniform(0.0, 1.0, 9))
         k = SchoenbergKernel(spectrum)
         for u in random_unit_vectors(rng, 100, 3):
-            p = Point(u)
-            assert eval_kernel(k, p, p) == pytest.approx(spectrum.trace_value, rel=1e-10)
+            assert eval_kernel(k, u, u) == pytest.approx(spectrum.trace_value, rel=1e-10)
 
 
 class TestKernelJson:

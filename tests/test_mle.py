@@ -166,15 +166,6 @@ class TestFitMle:
         np.testing.assert_array_equal(r1.theta_hat, r2.theta_hat)
         assert r1.evaluations == r2.evaluations
 
-    def test_reparameterization_invariance(self):
-        design, y = simulate(80, 1.0, 1.0, seed=12)
-        problem = LikelihoodProblem(exp_family, design, y)
-        space = ParamSpace([0.05, 0.05], [20.0, 20.0])
-        log_fit = fit_mle(problem, space, OptimizerConfig(transform="log"))
-        nat_fit = fit_mle(problem, space, OptimizerConfig(transform="natural"))
-        rel = np.max(np.abs(log_fit.theta_hat - nat_fit.theta_hat) / np.abs(nat_fit.theta_hat))
-        assert rel <= 1e-4
-
     def test_dominates_all_starts(self):
         from scipy.special import expit, logit
         from scipy.stats import qmc

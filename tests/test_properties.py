@@ -13,18 +13,20 @@ from gaussequiv import (
     Design,
     ExponentialKernel,
     LikelihoodProblem,
-    Point,
     SchoenbergKernel,
     SchoenbergSpectrum,
     chow_sum,
     equispaced_interval_design,
     eval_kernel,
+    fibonacci_sphere_designs,
     gaussian_logpdf,
     gram,
     gegenbauer_normalized,
     j_divergence,
     j_divergence_trace,
     neg_log_likelihood,
+    sphere_equivalence_sum,
+    tensor_norm_finite,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -38,6 +40,10 @@ positive = st.floats(0.2, 5.0)
 
 # sigma and beta log-uniform over the box of the ML experiment
 box_param = st.floats(np.log(0.05), np.log(20.0)).map(np.exp)
+
+# tensor norms on well-conditioned sphere Grams (condition number a few
+# hundred at most) carry roundoff far below this
+TENSOR_RTOL = 1e-9
 
 # the Markov and dense likelihoods sum the same terms in different orders;
 # on these designs the dense Cholesky loses at most a few 1e-12 relative
@@ -84,7 +90,7 @@ def test_eval_kernel_is_matrix_entry(kernel_coords, data):
     kernel, coords = kernel_coords
     i = data.draw(st.integers(0, len(coords) - 1))
     j = data.draw(st.integers(0, len(coords) - 1))
-    value = eval_kernel(kernel, Point(coords[i]), Point(coords[j]))
+    value = eval_kernel(kernel, coords[i], coords[j])
     assert value == kernel.matrix(coords)[i, j]
 
 
@@ -163,3 +169,24 @@ def test_markov_likelihood_matches_dense_oracle(n, sigma, beta, seed):
     assert abs(value - dense) <= MARKOV_RTOL * max(1.0, abs(dense))
     ordered = LikelihoodProblem(_exponential_family, Design.interval(t), y)
     assert neg_log_likelihood(ordered, [sigma, beta]) == value
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.data())
+def test_tensor_norms_monotone_and_bounded_by_sphere_sum(last_k, data):
+    coeffs = st.lists(st.floats(0.5, 2.0), min_size=last_k + 1, max_size=last_k + 1)
+    base = np.array(data.draw(coeffs))
+    other = base * np.array(data.draw(coeffs))
+    # a degree-K spectrum on S^2 spans (K+1)^2 harmonics; half that many points
+    # keep the Gram matrix well conditioned
+    sizes = data.draw(st.lists(st.integers(1, (last_k + 1) ** 2 // 2), min_size=1, max_size=4, unique=True))
+    s_base, s_other = SchoenbergSpectrum(3, base), SchoenbergSpectrum(3, other)
+    bound = sphere_equivalence_sum(s_other, s_base, last_k).final
+    k_base, k_other = SchoenbergKernel(s_base), SchoenbergKernel(s_other)
+    norms = []
+    for design in fibonacci_sphere_designs(sorted(sizes)):
+        g = gram(k_base, design)
+        norms.append(tensor_norm_finite(g, gram(k_other, design).entries - g.entries))
+    for a, b in zip(norms, norms[1:]):
+        assert b >= a - TENSOR_RTOL * (1.0 + a)
+    assert norms[-1] <= bound + TENSOR_RTOL * (1.0 + bound)

@@ -9,6 +9,7 @@ from gaussequiv import (
     ConstantRatio,
     ContractError,
     PowerLawRatio,
+    RatioModel,
     SchoenbergSpectrum,
     Verdict,
     atomic_measure_from_spectrum,
@@ -165,14 +166,14 @@ class TestCheckSharedAtoms:
 class TestTailModels:
     def test_power_divergent_when_slow(self):
         model = PowerLawRatio(c=1.0, s=0.5)
-        verdict, bound = model.tail_sphere(3, 1000)
+        verdict, bound = model.tail(1.0, 2.0, 1000)
         assert verdict is Verdict.DIVERGENT
         assert bound is None
 
     def test_power_bound_covers_true_tail(self):
         # tail bound from the integral test must dominate the directly summed tail
         model = PowerLawRatio(c=1.0, s=2.0)
-        _, bound = model.tail_sphere(3, 500)
+        _, bound = model.tail(1.0, 2.0, 500)
         ks = np.arange(501, 200_000, dtype=float)
         true_tail = float(np.sum((2 * ks + 1) / (ks + 1) ** 4))
         assert true_tail <= bound
@@ -184,9 +185,25 @@ class TestTailModels:
             ks = np.arange(401, dtype=float)
             assert np.all(h <= 2.0 * (ks + 1.0) ** (d - 2))
 
+    def test_one_hook_for_both_sums(self):
+        """Sphere sums ask tail(d - 2, 2, K); atom sums ask tail(0, weight bound, N)."""
+        calls = []
+
+        class Recording(RatioModel):
+            def tail(self, power, scale, last):
+                calls.append((power, scale, last))
+                return super().tail(power, scale, last)
+
+        s = SchoenbergSpectrum(4, np.ones(3))
+        assert sphere_equivalence_sum(s, s, 2, tail_model=Recording()).verdict is Verdict.INCONCLUSIVE
+        m = AtomicSpectralMeasure(("a", "b"), np.ones(2), np.array([1, 3]))
+        assert chow_sum(m, m, 2, tail_model=Recording()).tail_bound is None
+        chow_sum(m, m, 2, tail_model=Recording(), tail_weight_bound=5)
+        assert calls == [(2.0, 2.0, 2), (0.0, 3.0, 2), (0.0, 5.0, 2)]
+
     def test_constant_trivial_case(self):
-        assert ConstantRatio(alpha=1.0).tail_flat(10)[0] is Verdict.FINITE
-        assert ConstantRatio(alpha=2.0).tail_flat(10)[0] is Verdict.DIVERGENT
+        assert ConstantRatio(alpha=1.0).tail(0.0, 1.0, 10)[0] is Verdict.FINITE
+        assert ConstantRatio(alpha=2.0).tail(0.0, 1.0, 10)[0] is Verdict.DIVERGENT
 
 
 class TestMeasureJson:
@@ -204,6 +221,39 @@ class TestMeasureJson:
             AtomicSpectralMeasure(("a",), np.array([0.0]), np.array([1]))
         with pytest.raises(ContractError):
             AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([0]))
+
+
+class TestInputValidation:
+    """Non-finite masses and ratio parameters, and fractional dimensions, are rejected."""
+
+    @pytest.mark.parametrize("field, value", [("mass", math.inf), ("dim", 2.7), ("dim", math.inf)])
+    def test_atom_rejected(self, field, value):
+        atom = {"label": "a", "mass": 1.0, "dim": 1, field: value}
+        with pytest.raises(ContractError):
+            AtomicSpectralMeasure.from_json({"atoms": [atom]})
+
+    def test_integral_float_dim_accepted(self):
+        m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2.0}]})
+        assert m.dims.dtype.kind == "i"
+        np.testing.assert_array_equal(m.dims, [2])
+
+    @pytest.mark.parametrize(
+        "c, s", [(math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0), (1.0, math.inf)]
+    )
+    def test_power_ratio_nonfinite_rejected(self, c, s):
+        with pytest.raises(ContractError):
+            PowerLawRatio(c=c, s=s)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.5])
+    def test_tail_weight_bound_rejected(self, bound):
+        m = AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([1]))
+        with pytest.raises(ContractError):
+            chow_sum(m, m, 1, tail_model=PowerLawRatio(c=1.0, s=2.0), tail_weight_bound=bound)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_constant_ratio_nonfinite_rejected(self, alpha):
+        with pytest.raises(ContractError):
+            ConstantRatio(alpha=alpha)
 
 
 class TestCriterionCsv:
