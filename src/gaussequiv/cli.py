@@ -33,7 +33,7 @@ from .designs import (
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
 from .errors import AtomMismatchError, ContractError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, gram, kernel_from_json
+from .kernels import Design, SchoenbergSpectrum, _integer, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
 from .sampler import batch_to_csv, sample_paths
 from .spectral import (
@@ -77,13 +77,13 @@ def _fail(msg: str, code: int) -> int:
 def _design_from_config(obj: dict) -> Design:
     kind = obj["type"]
     if kind == "equispaced_interval":
-        return equispaced_interval_design(int(obj["n"]), tuple(obj.get("domain", (0.0, 1.0))))
+        return equispaced_interval_design(_integer(obj["n"], "n"), tuple(obj.get("domain", (0.0, 1.0))))
     if kind == "dyadic_interval":
-        pts = dyadic_interval_points(int(obj["n"]), tuple(obj.get("domain", (0.0, 1.0))))
+        pts = dyadic_interval_points(_integer(obj["n"], "n"), tuple(obj.get("domain", (0.0, 1.0))))
         return Design.interval(pts)
     if kind == "fibonacci_sphere":
-        d = int(obj.get("sphere_dim", 3))
-        return Design.on_sphere(sphere_sequence(int(obj["n"]), d))
+        d = _integer(obj.get("sphere_dim", 3), "sphere_dim")
+        return Design.on_sphere(sphere_sequence(_integer(obj["n"], "n"), d))
     if kind == "explicit":
         return Design.from_json(obj)
     raise ContractError(f"unknown design type {kind!r}")
@@ -92,10 +92,10 @@ def _design_from_config(obj: dict) -> Design:
 def _nested_designs_from_config(obj: dict) -> list[Design]:
     kind = obj["type"]
     if kind == "dyadic_interval":
-        return dyadic_interval_designs(int(obj["max_n"]), tuple(obj.get("domain", (0.0, 1.0))))
+        return dyadic_interval_designs(_integer(obj["max_n"], "max_n"), tuple(obj.get("domain", (0.0, 1.0))))
     if kind == "fibonacci_sphere":
-        d = int(obj.get("sphere_dim", 3))
-        return fibonacci_sphere_designs([int(s) for s in obj["sizes"]], d)
+        d = _integer(obj.get("sphere_dim", 3), "sphere_dim")
+        return fibonacci_sphere_designs([_integer(s, "sizes") for s in obj["sizes"]], d)
     raise ContractError(f"unknown nested design type {kind!r}")
 
 
@@ -124,8 +124,8 @@ def _run_jdiv(config: dict, outdir: Path, seed, args) -> int:
 
 
 def _run_sphere(config: dict, outdir: Path, seed, args) -> int:
-    d = int(config["sphere_dim"])
-    last_k = int(config["K"])
+    d = _integer(config["sphere_dim"], "sphere_dim")
+    last_k = _integer(config["K"], "K")
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     if "spectrum1" in config or "spectrum2" in config:
         s1 = SchoenbergSpectrum(d, np.asarray(config["spectrum1"], dtype=float))
@@ -143,7 +143,7 @@ def _run_chow(config: dict, outdir: Path, seed, args) -> int:
     base = Path(args.config).resolve().parent
     m1 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure1"]).read_text()))
     m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
-    n_atoms = int(config["N"])
+    n_atoms = _integer(config["N"], "N")
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=config.get("weight_bound"))
     _write_criterion(result, outdir, "n", {"N": n_atoms})
@@ -155,7 +155,7 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
         raise ContractError("sample requires a seed (config key 'seed' or --seed)")
     kernel = kernel_from_json(config["kernel"])
     design = _design_from_config(config["design"])
-    m = int(config["replicates"])
+    m = _integer(config["replicates"], "replicates")
     batch = sample_paths(gram(kernel, design), m, int(seed), design)
     batch_to_csv(batch, outdir / "samples.csv")
     sidecar = {
@@ -174,7 +174,12 @@ def _optimizer_from_config(obj: dict) -> OptimizerConfig:
     unknown = sorted(set(obj) - set(vars(defaults)))
     if unknown:
         raise ContractError(f"unknown optimizer key(s): {', '.join(unknown)}")
-    return OptimizerConfig(**{k: type(getattr(defaults, k))(v) for k, v in obj.items()})
+
+    def cast(key, value):
+        default = getattr(defaults, key)
+        return _integer(value, key) if isinstance(default, int) else type(default)(value)
+
+    return OptimizerConfig(**{k: cast(k, v) for k, v in obj.items()})
 
 
 def _run_mle(config: dict, outdir: Path, seed, args) -> int:
@@ -184,8 +189,8 @@ def _run_mle(config: dict, outdir: Path, seed, args) -> int:
     if "box" in config:
         present["box_lower"], present["box_upper"] = (tuple(map(float, b)) for b in config["box"])
     exp_config = ExperimentConfig(
-        n_grid=tuple(int(n) for n in config["n_grid"]),
-        replicates=int(config["replicates"]),
+        n_grid=tuple(_integer(n, "n_grid") for n in config["n_grid"]),
+        replicates=_integer(config["replicates"], "replicates"),
         seed=int(seed),
         optimizer=_optimizer_from_config(config.get("optimizer", {})),
         workers=int(args.threads),

@@ -8,10 +8,13 @@ covariances R1, R2 on n points is
 the sum of the two Kullback-Leibler divergences (their log-determinant terms
 cancel).  Along nested designs J(n) is non-decreasing; boundedness of the
 whole family is the equivalence side of the Gaussian dichotomy, linear
-growth the orthogonal side.  A nested trace factors each kernel once, on
-the largest design, and reads every J(n) off those factors as a cumulative
-sum of per-point increments.  The diagnostic below turns a finite trace into
-a labeled, threshold-based verdict and always ships the raw numbers with it.
+growth the orthogonal side.  A nested trace of two Markov kernels on the
+line (Brownian, exponential) sums per-point AR(1) terms on each sorted
+design and builds no Gram matrix; any other pair factors each kernel once,
+on the largest design, and reads every J(n) off those factors as a
+cumulative sum of per-point increments.  The diagnostic below turns a
+finite trace into a labeled, threshold-based verdict and always ships the
+raw numbers with it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._csvio import write_csv
+from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
 from .designs import is_prefix_nested
 from .errors import ContractError
-from .kernels import CovarianceKernel, Design, GramMatrix, gram
+from .kernels import CovarianceKernel, Design, GramMatrix, gram, require_geometry
 
 __all__ = [
     "DivergenceTrace",
@@ -41,8 +45,6 @@ __all__ = [
     "trace_to_csv",
     "trace_to_json",
 ]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # Deterministic thresholds of the verdict rule.  The growth ratio is taken
 # across one doubling of n; see dichotomy_diagnostic.
@@ -102,14 +104,22 @@ def j_divergence_trace(
 ) -> DivergenceTrace:
     """Evaluate J(n) for both kernels along strictly nested designs.
 
-    Designs must be prefix-extensions of each other.  Each kernel's Gram
-    matrix is factored once, on the largest design: the Cholesky factor of
-    a prefix is the leading block of that factor, and so are the prefix
-    blocks of the lower-triangular ``M12 = L2^{-1} L1`` and
-    ``M21 = L1^{-1} L2``.  J(n) is therefore the cumulative sum over rows
-    i < n of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.  Each increment is
-    >= 0 in exact arithmetic (``M12[i, i] * M21[i, i] = 1``), so the only
-    negative values are roundoff near J = 0; those are clamped to zero.
+    Designs must be prefix-extensions of each other.  When both kernels are
+    Markov on the line (:class:`BrownianKernel` or
+    :class:`ExponentialKernel`, mixed pairs included), each J(n) is a sum of
+    nonnegative per-point AR(1) terms on the sorted design, O(n log n) and
+    no Gram matrix; see ``_markov.markov_j_divergence``.  A point at which
+    an innovation variance is not positive raises
+    :class:`SingularGramError` with that point's design-order index.
+
+    Every other pair factors each kernel's Gram matrix once, on the largest
+    design: the Cholesky factor of a prefix is the leading block of that
+    factor, and so are the prefix blocks of the lower-triangular
+    ``M12 = L2^{-1} L1`` and ``M21 = L1^{-1} L2``.  J(n) is therefore the
+    cumulative sum over rows i < n of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.
+    Each increment is >= 0 in exact arithmetic
+    (``M12[i, i] * M21[i, i] = 1``), so the only negative values are
+    roundoff near J = 0; those are clamped to zero.
     """
     designs = list(designs)
     if not designs:
@@ -117,11 +127,19 @@ def j_divergence_trace(
     if not is_prefix_nested(designs):
         raise ContractError("designs must be strictly nested prefix-extensions")
     sizes = tuple(len(d) for d in designs)
-    l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-    m12 = solve_triangular(l2, l1, lower=True)
-    m21 = solve_triangular(l1, l2, lower=True)
-    steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
-    values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
+    if isinstance(k1, MARKOV_KERNELS) and isinstance(k2, MARKOV_KERNELS):
+        require_geometry(k1, designs[-1])
+        require_geometry(k2, designs[-1])
+        t = designs[-1].coords[:, 0]
+        # largest design first, so that its errors are the ones raised, as on
+        # the dense path
+        values = np.array([markov_j_divergence(k1, k2, t[:n]) for n in reversed(sizes)])[::-1]
+    else:
+        l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
+        m12 = solve_triangular(l2, l1, lower=True)
+        m21 = solve_triangular(l1, l2, lower=True)
+        steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
+        values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
     return DivergenceTrace(sizes=sizes, values=values, slope_estimate=_slope(sizes, values))
 
 

@@ -77,7 +77,8 @@ def _points_array(points, geometry: Geometry) -> np.ndarray:
 
     Each row is one point; on a 1-D geometry a flat sequence of scalars is
     also accepted.  Rows of another length, or of unequal lengths, raise
-    :class:`ContractError`, as do spherical points off the unit sphere.
+    :class:`ContractError`, as do non-finite coordinates and spherical
+    points off the unit sphere.
     """
     try:
         coords = np.array(points, dtype=float)
@@ -89,6 +90,8 @@ def _points_array(points, geometry: Geometry) -> np.ndarray:
         coords = coords[:, None]
     if coords.ndim != 2 or coords.shape[1] != geometry.dim:
         raise ContractError(f"points must form an (n, {geometry.dim}) array, not {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise ContractError("design points must be finite")
     if geometry.kind == "sphere":
         norms = np.linalg.norm(coords, axis=1)
         if np.max(np.abs(norms - 1.0)) > SPHERE_NORM_TOL:
@@ -111,7 +114,9 @@ class Design:
 
     def __post_init__(self):
         coords = _points_array(self.coords, self.geometry)
-        if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
+        # equal rows are adjacent once the rows are sorted lexicographically
+        rows = coords[np.lexsort(coords.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ContractError("design points must be pairwise distinct")
         object.__setattr__(self, "coords", coords)
 
@@ -149,7 +154,7 @@ class Design:
 
     @staticmethod
     def from_json(obj: dict) -> "Design":
-        geom = Geometry(obj["geometry"]["kind"], int(obj["geometry"]["dim"]))
+        geom = Geometry(obj["geometry"]["kind"], _integer(obj["geometry"]["dim"], "dim"))
         return Design(obj["points"], geom)
 
 
@@ -301,6 +306,13 @@ class CovarianceKernel(ABC):
         """
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    # math.isfinite, not numpy: an ExponentialKernel is built on every
+    # likelihood evaluation of a fit
+    if not (value > 0 and math.isfinite(value)):
+        raise ContractError(f"{name} must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class BrownianKernel(CovarianceKernel):
     """Brownian-motion covariance ``sigma^2 * min(s, t)`` for scalar s, t >= 0."""
@@ -309,14 +321,18 @@ class BrownianKernel(CovarianceKernel):
     geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ContractError("sigma must be strictly positive")
+        _require_positive_finite("sigma", self.sigma)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        t = coords[:, 0]
-        if np.any(t < 0):
-            raise ContractError("Brownian kernel requires t >= 0")
+        t = _half_line(coords[:, 0])
         return self.sigma**2 * np.minimum.outer(t, t)
+
+
+def _half_line(t: np.ndarray) -> np.ndarray:
+    """``t`` itself, once every time in it is checked to be >= 0."""
+    if np.any(t < 0):
+        raise ContractError("Brownian kernel requires t >= 0")
+    return t
 
 
 @dataclass(frozen=True)
@@ -328,10 +344,8 @@ class ExponentialKernel(CovarianceKernel):
     geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ContractError("sigma must be strictly positive")
-        if not self.beta > 0:
-            raise ContractError("beta must be strictly positive")
+        _require_positive_finite("sigma", self.sigma)
+        _require_positive_finite("beta", self.beta)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
@@ -394,7 +408,7 @@ def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
     Parameters
     ----------
     entries : ndarray
-        Square matrix, symmetric to 1e-12 relative.
+        Square matrix of finite entries, symmetric to 1e-12 relative.
 
     Raises
     ------
@@ -409,8 +423,11 @@ def _factor(a: np.ndarray) -> GramMatrix:
     """Check and factor the float matrix ``a``; the result takes ``a`` over as ``entries``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("Gram entries must form a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+    # np.max propagates NaN, and a comparison with NaN is False
+    largest = float(np.max(np.abs(a)))
+    if not math.isfinite(largest):
+        raise ContractError("Gram entries must be finite")
+    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(1.0, largest):
         raise ContractError("Gram entries must be symmetric")
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info != 0:
@@ -453,6 +470,13 @@ def eval_kernel(kernel: CovarianceKernel, s, t) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, key: str) -> int:
+    """A JSON count as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ContractError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def kernel_from_json(obj: dict) -> CovarianceKernel:
     """Build a kernel from its JSON description.
 
@@ -471,7 +495,7 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
     if variant == "exponential":
         return ExponentialKernel(sigma=float(obj["sigma"]), beta=float(obj["beta"]))
     if variant == "schoenberg":
-        spectrum = SchoenbergSpectrum(int(obj["d"]), np.asarray(obj["coeffs"], dtype=float))
+        spectrum = SchoenbergSpectrum(_integer(obj["d"], "d"), np.asarray(obj["coeffs"], dtype=float))
         return SchoenbergKernel(spectrum)
     raise ContractError(f"unknown kernel variant {variant!r}")
 

@@ -10,9 +10,9 @@ instead of raising, which keeps the objective total over the box.
 The likelihood of an exponential-kernel family is computed in O(n) without
 forming the Gram matrix: on sorted points of the line the exponential
 (Ornstein-Uhlenbeck) kernel is Markov, so the density factors into AR(1)
-innovations.  Every other kernel (Brownian, Schoenberg, ...) goes through
-the dense Gram matrix and its Cholesky factor, which also serves as the
-test oracle for the Markov path.
+innovations (``_markov._markov_nll``).  Every other kernel (Brownian,
+Schoenberg, ...) goes through the dense Gram matrix and its Cholesky
+factor, which also serves as the test oracle for the Markov path.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -35,7 +35,8 @@ from scipy.special import expit, logit
 from scipy.stats import qmc
 
 from ._csvio import write_csv
-from .divergence import LOG_2PI, gaussian_logpdf
+from ._markov import PENALTY, _markov_nll
+from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
 from .designs import equispaced_interval_design
@@ -54,8 +55,6 @@ __all__ = [
     "microergodic_experiment",
     "report_to_csv",
 ]
-
-PENALTY = 1e10
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,26 +160,6 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     except SingularGramError:
         return PENALTY
     return -gaussian_logpdf(g, problem.data)
-
-
-def _markov_nll(kernel: ExponentialKernel, y: np.ndarray, dt: np.ndarray) -> float:
-    """Exponential-kernel NLL of data ``y`` on sorted points with increments ``dt``.
-
-    ``y_i`` given ``y_{i-1}`` is normal with mean ``rho_i y_{i-1}`` and
-    variance ``sigma^2 (1 - rho_i^2)``, ``rho_i = exp(-beta dt_i)``; the
-    variance is formed with ``expm1`` because ``1 - rho_i^2`` cancels when
-    ``beta dt_i`` is small.  A variance that underflows to zero means the
-    kernel matrix is numerically singular: ``PENALTY``.
-    """
-    s2 = kernel.sigma**2
-    v = np.empty_like(y)
-    v[0] = s2
-    v[1:] = -s2 * np.expm1(-2.0 * kernel.beta * dt)
-    if not v.min() > 0:
-        return PENALTY
-    e = y.copy()
-    e[1:] -= np.exp(-kernel.beta * dt) * y[:-1]
-    return 0.5 * float(e @ (e / v) + np.log(v).sum()) + 0.5 * len(y) * LOG_2PI
 
 
 def _box_map(space: ParamSpace):

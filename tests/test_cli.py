@@ -81,6 +81,28 @@ class TestJdiv:
         assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == 3
 
 
+    def test_infinite_sigma_exit_code(self, tmp_path):
+        config = dict(JDIV_BROWNIAN, kernel2={"variant": "brownian", "sigma": float("inf")})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["jdiv", "--config", cfg, "--out", out]) == 2
+        assert not (out / "trace.csv").exists()
+
+    def test_brownian_negative_time_exit_code(self, tmp_path, capsys):
+        # the first design is {0, 1}, singular for Brownian motion; the
+        # negative times of the largest design are reported, as by the dense path
+        config = dict(JDIV_BROWNIAN, designs={"type": "dyadic_interval", "max_n": 16, "domain": [-1, 1]})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "t >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n, code", [(16.5, 2), (16.0, 0)])
+    def test_integer_key_not_truncated(self, tmp_path, max_n, code):
+        config = dict(JDIV_BROWNIAN, designs={"type": "dyadic_interval", "max_n": max_n})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == code
+
+
 class TestSphere:
     def test_ratio_model_run(self, tmp_path):
         cfg = write_config(
@@ -116,6 +138,14 @@ class TestSphere:
             {"sphere_dim": 3, "K": 2, "spectrum1": [1.0, 1.0, 1.0], "spectrum2": [1.0, 1.0, 0.0]},
         )
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 4
+
+    @pytest.mark.parametrize("last_k, code", [(2.9, 2), (2.0, 0)])
+    def test_integer_key_not_truncated(self, tmp_path, capsys, last_k, code):
+        config = {"sphere_dim": 3, "K": last_k, "spectrum1": [1.0, 2.0, 1.0], "spectrum2": [1.0, 1.0, 1.0]}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == code
+        if code:
+            assert "K must be an integer" in capsys.readouterr().err
 
     def test_nan_ratio_model_exit_code(self, tmp_path):
         cfg = write_config(
@@ -161,6 +191,14 @@ class TestChow:
         lines = (out / "criterion.csv").read_text().splitlines()
         assert lines[0] == "n,term,partial_sum"
 
+    @pytest.mark.parametrize("n_atoms, code", [(2.7, 2), (2.0, 0)])
+    def test_integer_key_not_truncated(self, tmp_path, n_atoms, code):
+        self._measures(tmp_path)
+        cfg = write_config(
+            tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": n_atoms}
+        )
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == code
+
     def test_label_mismatch_exit_code(self, tmp_path):
         self._measures(tmp_path)
         bad = {"atoms": [{"label": "zz", "mass": 1.0, "dim": 1}]}
@@ -202,6 +240,18 @@ class TestSample:
         assert meta["seed"] == 42
         assert meta["kernel"]["variant"] == "exponential"
         assert len(meta["design"]["points"]) == 6
+
+    def test_infinite_sigma_exit_code(self, tmp_path):
+        config = dict(self.CONFIG, kernel={"variant": "brownian", "sigma": float("inf")})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", out]) == 2
+        assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("replicates", 5.5), ("design", {"type": "equispaced_interval", "n": 6.2})])
+    def test_integer_key_not_truncated(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
+        assert run(["sample", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
@@ -254,6 +304,14 @@ class TestMle:
         cfg = write_config(tmp_path, "cfg.json", config)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "max_eval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("replicates", 20.5), ("n_grid", [6, 10.5]), ("optimizer", {"starts": 2.5})]
+    )
+    def test_integer_key_not_truncated(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
+        assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_transform_key_rejected(self, tmp_path, capsys):
         config = dict(self.CONFIG, optimizer={"transform": "log"})

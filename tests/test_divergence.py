@@ -156,8 +156,71 @@ class TestJDivergenceTrace:
             return gram(kernel, design, *args, **kwargs)
 
         monkeypatch.setattr("gaussequiv.divergence.gram", recording_gram)
-        j_divergence_trace(ExponentialKernel(1.0, 1.0), ExponentialKernel(1.0, 2.0), dyadic_interval_designs(128))
-        assert calls == [128, 128]
+        k = np.arange(10.0)
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -2))
+        k2 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3))
+        j_divergence_trace(k1, k2, fibonacci_sphere_designs([10, 20, 40]))
+        assert calls == [40, 40]
+
+    @pytest.mark.parametrize(
+        "k1, k2",
+        [
+            (ExponentialKernel(1.0, 2.0), ExponentialKernel(2.0**0.5, 1.0)),
+            (BrownianKernel(1.0), BrownianKernel(2.0)),
+            (BrownianKernel(1.0), ExponentialKernel(1.0, 1.0)),
+        ],
+    )
+    def test_markov_pairs_build_no_gram(self, monkeypatch, k1, k2):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Markov pairs must not build or factor a Gram matrix")
+
+        monkeypatch.setattr("gaussequiv.divergence.gram", forbidden)
+        monkeypatch.setattr("gaussequiv.kernels.dpotrf", forbidden)
+        trace = j_divergence_trace(k1, k2, dyadic_interval_designs(128))
+        assert np.all(trace.values > 0)
+
+    @pytest.mark.parametrize("k2", [BrownianKernel(2.0), ExponentialKernel(1.0, 1.0)])
+    def test_brownian_origin_singular_with_dense_pivot(self, k2):
+        # X(0) = 0 for Brownian motion: the point t = 0 (design index 3) has
+        # zero innovation variance and makes the dense pivot 3 fail
+        design = Design.interval([0.5, 1.0, 0.25, 0.0, 0.75])
+        designs = [design.prefix(m) for m in (2, 3, 4, 5)]
+        with pytest.raises(SingularGramError) as dense:
+            gram(BrownianKernel(1.0), designs[-1])
+        with pytest.raises(SingularGramError) as markov:
+            j_divergence_trace(BrownianKernel(1.0), k2, designs)
+        assert markov.value.pivot == dense.value.pivot == 3
+
+    def test_brownian_negative_time_rejected(self):
+        designs = [Design.interval([0.5, -0.25][:m]) for m in (1, 2)]
+        with pytest.raises(ContractError, match="t >= 0"):
+            j_divergence_trace(ExponentialKernel(1.0, 1.0), BrownianKernel(1.0), designs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_variance_rejected(self):
+        # sigma^2 t overflows: both paths refuse instead of returning NaN
+        k1, k2 = BrownianKernel(1e150), BrownianKernel(1.0)
+        designs = [Design.interval([1e10, 2e10, 3e10][:m]) for m in (1, 2, 3)]
+        with pytest.raises(ContractError, match="overflow"):
+            j_divergence_trace(k1, k2, designs)
+        with pytest.raises(ContractError, match="finite"):
+            gram(k1, designs[-1])
+
+    def test_markov_matches_dense_at_2048(self):
+        # the mixed pair exercises every AR term: rho differs and var1 grows
+        k1, k2 = BrownianKernel(1.5), ExponentialKernel(1.0, 3.0)
+        designs = dyadic_interval_designs(2048, (0.0, 2.0))
+        trace = j_divergence_trace(k1, k2, designs)
+        for d, value in zip(designs[::3], trace.values[::3]):
+            want = j_divergence(gram(k1, d), gram(k2, d))
+            assert value == pytest.approx(want, rel=1e-9)
+
+    def test_dyadic_ou_trace_to_2_pow_20_non_decreasing(self):
+        designs = dyadic_interval_designs(2**20)
+        k1, k2 = ExponentialKernel(1.0, 2.0), ExponentialKernel(2.0**0.5, 1.0)
+        values = j_divergence_trace(k1, k2, designs).values
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[-1] == pytest.approx(0.625, rel=1e-4)
 
     def test_schoenberg_matches_per_design(self):
         k = np.arange(10.0)

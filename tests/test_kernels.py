@@ -135,11 +135,27 @@ class TestGram:
         with pytest.raises(ContractError):
             gram_from_matrix(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a symmetric NaN pair passes max|a - a'| > tol, which is False for NaN
+        with pytest.raises(ContractError, match="finite"):
+            gram_from_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestDesign:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ContractError):
             Design.interval([0.5, 0.5])
+        with pytest.raises(ContractError):
+            Design.interval([0.0, 0.3, -0.0])
+        with pytest.raises(ContractError):
+            Design(np.array([[0.1, 0.2], [0.3, 0.2], [0.1, 0.2]]), Geometry.euclidean(2))
+        assert len(Design(np.array([[0.1, 0.2], [0.2, 0.1]]), Geometry.euclidean(2))) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            Design.interval([0.5, bad])
 
     def test_sphere_norm_enforced(self):
         with pytest.raises(ContractError):
@@ -253,3 +269,18 @@ class TestKernelJson:
     def test_unknown_variant(self):
         with pytest.raises(ContractError):
             kernel_from_json({"variant": "matern"})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_parameters_rejected(self, bad):
+        for make in (
+            lambda: BrownianKernel(sigma=bad),
+            lambda: ExponentialKernel(sigma=bad, beta=1.0),
+            lambda: ExponentialKernel(sigma=1.0, beta=bad),
+        ):
+            with pytest.raises(ContractError, match="finite and strictly positive"):
+                make()
+
+    def test_non_integral_sphere_dimension_rejected(self):
+        with pytest.raises(ContractError, match="d must be an integer"):
+            kernel_from_json({"variant": "schoenberg", "d": 3.5, "coeffs": [1.0]})
+        assert kernel_from_json({"variant": "schoenberg", "d": 3.0, "coeffs": [1.0]}).spectrum.sphere_dim == 3

@@ -139,6 +139,28 @@ def test_j_divergence_symmetric_nonnegative_monotone(t, s1, b1, s2, b2):
         assert abs(got - want) <= J_RTOL * (m + want)
 
 
+@st.composite
+def markov_kernels(draw):
+    """A Brownian or exponential kernel with parameters from the ML box."""
+    if draw(st.booleans()):
+        return BrownianKernel(draw(box_param))
+    return ExponentialKernel(draw(box_param), draw(box_param))
+
+
+@SETTINGS
+@given(markov_kernels(), markov_kernels(), interval_coords(min_size=2).map(lambda t: t + 0.05), st.data())
+def test_markov_trace_matches_dense_oracle(k1, k2, t, data):
+    # points > 0 in drawn, unsorted order: each prefix re-sorts its points
+    design = Design.interval(t)
+    sizes = data.draw(st.lists(st.integers(1, len(t)), min_size=1, max_size=len(t), unique=True).map(sorted))
+    designs = [design.prefix(m) for m in sizes]
+    trace = j_divergence_trace(k1, k2, designs)
+    for m, got, d in zip(sizes, trace.values, designs):
+        want = j_divergence(gram(k1, d), gram(k2, d))
+        assert abs(got - want) <= J_RTOL * (m + abs(want))
+    assert list(j_divergence_trace(k1, k1, designs).values) == [0.0] * len(sizes)
+
+
 @SETTINGS
 @given(st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)), min_size=1, max_size=30))
 def test_chow_sum_unit_dimensions_is_grenander_form(masses):
