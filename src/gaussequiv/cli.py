@@ -156,7 +156,7 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
     kernel = kernel_from_json(config["kernel"])
     design = _design_from_config(config["design"])
     m = _integer(config["replicates"], "replicates")
-    batch = sample_paths(gram(kernel, design), m, int(seed), design)
+    batch = sample_paths(gram(kernel, design), m, seed)
     batch_to_csv(batch, outdir / "samples.csv")
     sidecar = {
         "seed": batch.seed,
@@ -191,9 +191,8 @@ def _run_mle(config: dict, outdir: Path, seed, args) -> int:
     exp_config = ExperimentConfig(
         n_grid=tuple(_integer(n, "n_grid") for n in config["n_grid"]),
         replicates=_integer(config["replicates"], "replicates"),
-        seed=int(seed),
+        seed=seed,
         optimizer=_optimizer_from_config(config.get("optimizer", {})),
-        workers=int(args.threads),
         **present,
     )
     report = microergodic_experiment(exp_config)
@@ -296,7 +295,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for replicate fits")
         p.set_defaults(handler=handler)
     return parser
 
@@ -308,18 +306,20 @@ def main(argv=None) -> int:
         config = json.loads(config_bytes)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}", EXIT_CONFIG)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else config.get("seed")
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config_digest=hashlib.sha256(config_bytes).hexdigest(),
-        seed=int(seed) if seed is not None else None,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    manifest.write(outdir / "manifest.json")
     try:
+        seed = args.seed if args.seed is not None else config.get("seed")
+        seed = None if seed is None else _integer(seed, "seed")
+        if seed is not None and seed < 0:
+            raise ContractError(f"seed must be >= 0, not {seed}")
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        RunManifest(
+            subcommand=args.subcommand,
+            config_digest=hashlib.sha256(config_bytes).hexdigest(),
+            seed=seed,
+            tool_version=__version__,
+            timestamp=datetime.now(timezone.utc).isoformat(),
+        ).write(outdir / "manifest.json")
         return args.handler(config, outdir, seed, args)
     except (ContractError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", EXIT_CONFIG)

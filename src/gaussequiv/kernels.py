@@ -313,6 +313,12 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ContractError(f"{name} must be finite and strictly positive")
 
 
+def _require_sigma(sigma: float) -> None:
+    # sigma * sigma overflows to inf where sigma**2 raises OverflowError
+    if not (sigma > 0 and math.isfinite(sigma * sigma)):
+        raise ContractError("sigma must be finite and strictly positive, with a finite square")
+
+
 @dataclass(frozen=True)
 class BrownianKernel(CovarianceKernel):
     """Brownian-motion covariance ``sigma^2 * min(s, t)`` for scalar s, t >= 0."""
@@ -321,7 +327,7 @@ class BrownianKernel(CovarianceKernel):
     geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
-        _require_positive_finite("sigma", self.sigma)
+        _require_sigma(self.sigma)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = _half_line(coords[:, 0])
@@ -344,7 +350,7 @@ class ExponentialKernel(CovarianceKernel):
     geometry = Geometry.euclidean(1)
 
     def __post_init__(self):
-        _require_positive_finite("sigma", self.sigma)
+        _require_sigma(self.sigma)
         _require_positive_finite("beta", self.beta)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:

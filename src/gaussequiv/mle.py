@@ -24,7 +24,6 @@ so it is the combination whose RMSE should shrink.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -245,6 +244,7 @@ class ExperimentConfig:
     box_lower: tuple[float, float] = (0.05, 0.05)
     box_upper: tuple[float, float] = (20.0, 20.0)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    # kept only so that callers passing ``workers=1`` still construct
     workers: int = 1
 
     def __post_init__(self):
@@ -252,8 +252,8 @@ class ExperimentConfig:
             raise ContractError("n_grid must be strictly increasing")
         if self.replicates < 20:
             raise ContractError("experiment needs at least 20 replicates")
-        if self.workers < 1:
-            raise ContractError("workers must be >= 1")
+        if self.workers != 1:
+            raise ContractError("workers must be 1: replicate fits run serially")
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,22 +273,13 @@ def _exponential_family(theta: np.ndarray) -> CovarianceKernel:
     return ExponentialKernel(sigma=float(theta[0]), beta=float(theta[1]))
 
 
-def _fit_replicate(args) -> np.ndarray | None:
-    design, y, space, opt = args
-    problem = LikelihoodProblem(family=_exponential_family, design=design, data=y)
-    try:
-        return fit_mle(problem, space, opt).theta_hat
-    except OptimizationFailedError:
-        return None
-
-
 def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     """Simulate, refit and summarize RMSE across grid refinements.
 
     For each n the replicate batch is drawn in one seeded block with a
     sub-seed derived from (seed, n), then every replicate is refit
     independently; failed optimizations are excluded from the RMSE and
-    counted.  Results do not depend on the worker count.
+    counted.
     """
     sigma0, beta0 = config.theta0
     true_sigma2 = sigma0**2
@@ -299,14 +290,14 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
         g0 = gram(ExponentialKernel(sigma=sigma0, beta=beta0), design)
-        batch = sample_paths(g0, config.replicates, derive_seed(config.seed, n), design)
-        jobs = [(design, batch.samples[r], space, config.optimizer) for r in range(config.replicates)]
-        if config.workers == 1:
-            fits = [_fit_replicate(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                fits = list(pool.map(_fit_replicate, jobs))
-        ok = [t for t in fits if t is not None]
+        batch = sample_paths(g0, config.replicates, derive_seed(config.seed, n))
+        ok = []
+        for y in batch.samples:
+            problem = LikelihoodProblem(family=_exponential_family, design=design, data=y)
+            try:
+                ok.append(fit_mle(problem, space, config.optimizer).theta_hat)
+            except OptimizationFailedError:
+                pass
         failed.append(config.replicates - len(ok))
         if ok:
             thetas = np.array(ok)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import ContractError
-from .kernels import Design, GramMatrix
+from .kernels import GramMatrix
 
 __all__ = [
     "SampleBatch",
@@ -32,7 +32,6 @@ class SampleBatch:
 
     samples: np.ndarray
     seed: int
-    design: Design | None = None
 
     @property
     def replicates(self) -> int:
@@ -45,7 +44,7 @@ def derive_seed(base: int, *parts: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def sample_paths(g: GramMatrix, m: int, seed: int, design: Design | None = None) -> SampleBatch:
+def sample_paths(g: GramMatrix, m: int, seed: int) -> SampleBatch:
     """Draw m independent centered Gaussian vectors with covariance ``g``.
 
     Each replicate is ``L z`` with fresh standard normals z, so scaling the
@@ -55,11 +54,9 @@ def sample_paths(g: GramMatrix, m: int, seed: int, design: Design | None = None)
         raise ContractError("replicate count must be >= 1")
     if seed < 0:
         raise ContractError("seed must be unsigned")
-    if design is not None and len(design) != g.n:
-        raise ContractError("design size must match the Gram size")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     z = rng.standard_normal((m, g.n))
-    return SampleBatch(samples=z @ g.chol.T, seed=int(seed), design=design)
+    return SampleBatch(samples=z @ g.chol.T, seed=int(seed))
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:

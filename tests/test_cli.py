@@ -88,6 +88,14 @@ class TestJdiv:
         assert run(["jdiv", "--config", cfg, "--out", out]) == 2
         assert not (out / "trace.csv").exists()
 
+    def test_overflowing_sigma_exit_code(self, tmp_path, capsys):
+        config = dict(JDIV_BROWNIAN, kernel2={"variant": "exponential", "sigma": 1e200, "beta": 1.0})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["jdiv", "--config", cfg, "--out", out]) == 2
+        assert "finite square" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_brownian_negative_time_exit_code(self, tmp_path, capsys):
         # the first design is {0, 1}, singular for Brownian motion; the
         # negative times of the largest design are reported, as by the dense path
@@ -248,6 +256,28 @@ class TestSample:
         assert run(["sample", "--config", cfg, "--out", out]) == 2
         assert not (out / "samples.csv").exists()
 
+    def test_overflowing_sigma_exit_code(self, tmp_path, capsys):
+        config = dict(self.CONFIG, kernel={"variant": "brownian", "sigma": 1e200})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", out]) == 2
+        assert "finite square" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["x", 7.9, -1])
+    def test_invalid_seed_exit_code(self, tmp_path, seed):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, seed=seed))
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_integral_float_seed(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, seed=7.0))
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", out]) == 0
+        assert json.loads((out / "sample_meta.json").read_text())["seed"] == 7
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
     @pytest.mark.parametrize("key, value", [("replicates", 5.5), ("design", {"type": "equispaced_interval", "n": 6.2})])
     def test_integer_key_not_truncated(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
@@ -293,11 +323,12 @@ class TestMle:
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_nonpositive_threads_rejected(self, tmp_path, capsys, threads):
-        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
-        assert run(["mle", "--config", cfg, "--out", tmp_path / "out", "--threads", threads]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("seed", ["x", 7.9, -1])
+    def test_invalid_seed_exit_code(self, tmp_path, seed):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, seed=seed))
+        out = tmp_path / "out"
+        assert run(["mle", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
 
     def test_unknown_optimizer_key_rejected(self, tmp_path, capsys):
         config = dict(self.CONFIG, optimizer={"starts": 2, "max_eval": 10})
@@ -358,6 +389,14 @@ class TestCommonBehavior:
         assert run(["jdiv", "--config", cfg, "--out", out1]) == 0
         assert run(["jdiv", "--config", cfg, "--out", out2]) == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("sub", ["jdiv", "sphere", "chow", "sample", "mle"])
+    def test_threads_flag_rejected(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, "cfg.json", {})
+        with pytest.raises(SystemExit) as exc:
+            run([sub, "--config", cfg, "--out", tmp_path / "out", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_help_mentions_config_keys(self, capsys):
         for sub in ("jdiv", "sphere", "chow", "sample", "mle"):

@@ -280,6 +280,11 @@ class TestKernelJson:
             with pytest.raises(ContractError, match="finite and strictly positive"):
                 make()
 
+    def test_sigma_whose_square_overflows_rejected(self):
+        for make in (lambda: BrownianKernel(sigma=1e200), lambda: ExponentialKernel(sigma=1e200, beta=1.0)):
+            with pytest.raises(ContractError, match="with a finite square"):
+                make()
+
     def test_non_integral_sphere_dimension_rejected(self):
         with pytest.raises(ContractError, match="d must be an integer"):
             kernel_from_json({"variant": "schoenberg", "d": 3.5, "coeffs": [1.0]})

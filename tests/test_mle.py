@@ -215,17 +215,10 @@ class TestMicroergodicExperiment:
         assert lines[0] == "n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates"
         assert len(lines) == 3
 
-    def test_worker_count_does_not_change_results(self):
-        base = dict(
-            n_grid=(6, 10),
-            replicates=20,
-            seed=9,
-            optimizer=OptimizerConfig(starts=2, max_evals=150),
-        )
-        r1 = microergodic_experiment(ExperimentConfig(**base, workers=1))
-        r2 = microergodic_experiment(ExperimentConfig(**base, workers=2))
-        np.testing.assert_array_equal(r1.rmse_microergodic, r2.rmse_microergodic)
-        np.testing.assert_array_equal(r1.rmse_sigma2, r2.rmse_sigma2)
+    def test_workers_other_than_one_rejected(self):
+        ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, workers=1)
+        with pytest.raises(ContractError, match="workers must be 1"):
+            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, workers=2)
 
     def test_validation(self):
         with pytest.raises(ContractError):
