@@ -74,12 +74,18 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _object(obj, name: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ContractError(f"{name} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
 def _design_from_config(obj: dict) -> Design:
     kind = obj["type"]
     if kind == "equispaced_interval":
-        return equispaced_interval_design(_integer(obj["n"], "n"), tuple(obj.get("domain", (0.0, 1.0))))
+        return equispaced_interval_design(_integer(obj["n"], "n"), obj.get("domain", (0.0, 1.0)))
     if kind == "dyadic_interval":
-        pts = dyadic_interval_points(_integer(obj["n"], "n"), tuple(obj.get("domain", (0.0, 1.0))))
+        pts = dyadic_interval_points(_integer(obj["n"], "n"), obj.get("domain", (0.0, 1.0)))
         return Design.interval(pts)
     if kind == "fibonacci_sphere":
         d = _integer(obj.get("sphere_dim", 3), "sphere_dim")
@@ -92,7 +98,7 @@ def _design_from_config(obj: dict) -> Design:
 def _nested_designs_from_config(obj: dict) -> list[Design]:
     kind = obj["type"]
     if kind == "dyadic_interval":
-        return dyadic_interval_designs(_integer(obj["max_n"], "max_n"), tuple(obj.get("domain", (0.0, 1.0))))
+        return dyadic_interval_designs(_integer(obj["max_n"], "max_n"), obj.get("domain", (0.0, 1.0)))
     if kind == "fibonacci_sphere":
         d = _integer(obj.get("sphere_dim", 3), "sphere_dim")
         return fibonacci_sphere_designs([_integer(s, "sizes") for s in obj["sizes"]], d)
@@ -171,7 +177,7 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
 def _optimizer_from_config(obj: dict) -> OptimizerConfig:
     """OptimizerConfig from the keys present in ``obj``, each cast to its default's type."""
     defaults = OptimizerConfig()
-    unknown = sorted(set(obj) - set(vars(defaults)))
+    unknown = sorted(set(_object(obj, "optimizer")) - set(vars(defaults)))
     if unknown:
         raise ContractError(f"unknown optimizer key(s): {', '.join(unknown)}")
 
@@ -307,6 +313,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}", EXIT_CONFIG)
     try:
+        config = _object(config, "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         seed = None if seed is None else _integer(seed, "seed")
         if seed is not None and seed < 0:

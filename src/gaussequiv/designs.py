@@ -7,11 +7,12 @@ divergence traces require.
 
 from __future__ import annotations
 
+from itertools import count, islice
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import ContractError
 from .kernels import Design
@@ -28,14 +29,34 @@ __all__ = [
 _GOLDEN_FRAC = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _van_der_corput(i: int) -> float:
-    """Base-2 radical inverse of a positive integer."""
-    x, f = 0.0, 0.5
-    while i:
-        x += f * (i & 1)
-        i >>= 1
-        f *= 0.5
+def _radical_inverse(i: np.ndarray, base: int) -> np.ndarray:
+    """Radical inverse in ``base`` of each nonnegative integer in ``i``."""
+    i = np.asarray(i, dtype=np.int64)
+    x, f = np.zeros(i.shape), 1.0 / base
+    while np.any(i):
+        i, digit = np.divmod(i, base)
+        x += digit * f
+        f /= base
     return x
+
+
+def _halton(n: int, d: int) -> np.ndarray:
+    """Points 1..n (origin skipped) of the unscrambled Halton sequence in d >= 1 prime bases, (n, d)."""
+    primes = islice((k for k in count(2) if all(k % j for j in range(2, isqrt(k) + 1))), d)
+    i = np.arange(1, n + 1)
+    # column-major like scipy's: numpy sums a row norm (d > 8) in an order set by the layout
+    return np.array([_radical_inverse(i, base) for base in primes]).T
+
+
+def _interval(domain) -> tuple[float, float]:
+    """The endpoints (a, b) of a ``domain`` of exactly two finite numbers a < b."""
+    try:
+        ab = np.asarray(domain, dtype=float)
+    except (TypeError, ValueError):
+        ab = None
+    if ab is None or ab.shape != (2,) or not -np.inf < ab[0] < ab[1] < np.inf:
+        raise ContractError(f"domain must be two finite numbers [a, b] with a < b, not {domain!r}")
+    return float(ab[0]), float(ab[1])
 
 
 def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
@@ -47,9 +68,7 @@ def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.
     """
     if max_size < 2 or max_size & (max_size - 1):
         raise ContractError("dyadic design size must be a power of two, >= 2")
-    a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise ContractError("domain must satisfy a < b")
+    a, b = _interval(domain)
     fracs = [0.5, 1.0]
     level = 2
     while len(fracs) < max_size:
@@ -70,9 +89,7 @@ def equispaced_interval_design(n: int, domain: tuple[float, float] = (0.0, 1.0))
     """n equispaced points spanning [a, b], endpoints included."""
     if n < 1:
         raise ContractError("design size must be >= 1")
-    a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise ContractError("domain must satisfy a < b")
+    a, b = _interval(domain)
     return Design.interval(np.linspace(a, b, n))
 
 
@@ -90,16 +107,13 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
         raise ContractError("sphere ambient dimension must be >= 2")
     if sphere_dim == 3:
         out = np.empty((n, 3))
-        for i in range(1, n + 1):
-            z = 1.0 - 2.0 * _van_der_corput(i)
+        for i, u in enumerate(_halton(n, 1)[:, 0], start=1):
+            z = 1.0 - 2.0 * float(u)
             r = np.sqrt(max(0.0, 1.0 - z * z))
             theta = 2.0 * np.pi * ((i * _GOLDEN_FRAC) % 1.0)
             out[i - 1] = (r * np.cos(theta), r * np.sin(theta), z)
         return out
-    halton = qmc.Halton(d=sphere_dim, scramble=False)
-    halton.fast_forward(1)  # skip the all-zero first point
-    u = halton.random(n)
-    g = ndtri(u)
+    g = ndtri(_halton(n, sphere_dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

@@ -31,14 +31,13 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit
-from scipy.stats import qmc
 
 from ._csvio import write_csv
 from ._markov import PENALTY, _markov_nll
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
-from .designs import equispaced_interval_design
+from .designs import _halton, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
 __all__ = [
@@ -121,6 +120,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ContractError("need at least one start")
+        if self.max_evals < 1:
+            raise ContractError("max_evals must be >= 1")
+        if not (0 <= self.tol_x < math.inf and 0 <= self.tol_f < math.inf):
+            raise ContractError("tol_x and tol_f must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +174,7 @@ def _box_map(space: ParamSpace):
 def _start_points(space: ParamSpace, starts: int) -> list[np.ndarray]:
     # u = 0 is the center of the log box; the rest interpolate the
     # box at fixed low-discrepancy fractions
-    points = [np.zeros(space.p)]
-    if starts > 1:
-        halton = qmc.Halton(d=space.p, scramble=False)
-        halton.fast_forward(1)
-        for q in halton.random(starts - 1):
-            points.append(logit(q))
-    return points
+    return [np.zeros(space.p)] + [logit(q) for q in _halton(starts - 1, space.p)]
 
 
 def fit_mle(
@@ -252,6 +249,9 @@ class ExperimentConfig:
             raise ContractError("n_grid must be strictly increasing")
         if self.replicates < 20:
             raise ContractError("experiment needs at least 20 replicates")
+        for name in ("theta0", "domain", "box_lower", "box_upper"):
+            if len(getattr(self, name)) != 2:
+                raise ContractError(f"{name} must have length 2")
         if self.workers != 1:
             raise ContractError("workers must be 1: replicate fits run serially")
 

@@ -111,6 +111,15 @@ class TestJdiv:
         assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == code
 
 
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
+    def test_domain_not_two_numbers_exit_code(self, tmp_path, domain):
+        config = dict(JDIV_BROWNIAN, designs={"type": "dyadic_interval", "max_n": 16, "domain": domain})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["jdiv", "--config", cfg, "--out", out]) == 2
+        assert not (out / "trace.csv").exists()
+
+
 class TestSphere:
     def test_ratio_model_run(self, tmp_path):
         cfg = write_config(
@@ -283,6 +292,14 @@ class TestSample:
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
         assert run(["sample", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
+    def test_domain_not_two_numbers_exit_code(self, tmp_path, domain):
+        config = dict(self.CONFIG, design={"type": "equispaced_interval", "n": 6, "domain": domain})
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", out]) == 2
+        assert not (out / "samples.csv").exists()
+
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -351,6 +368,32 @@ class TestMle:
         assert "transform" in capsys.readouterr().err
 
 
+    def test_optimizer_not_object_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, optimizer=[]))
+        assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "optimizer must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("domain", [0]),
+            ("domain", [0, 1, 5]),
+            ("theta0", [1.0]),
+            ("box", [[0.05], [20.0]]),
+            ("optimizer", {"max_evals": -5}),
+            ("optimizer", {"max_evals": 0}),
+            ("optimizer", {"tol_x": "nan"}),
+            ("optimizer", {"tol_f": -1.0}),
+        ],
+    )
+    def test_out_of_range_setting_exit_code(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
+        out = tmp_path / "out"
+        assert run(["mle", "--config", cfg, "--out", out]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (out / "consistency.csv").exists()
+
+
 class TestCommonBehavior:
     def test_malformed_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -360,6 +403,16 @@ class TestCommonBehavior:
     def test_missing_key_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"kernel1": {"variant": "brownian", "sigma": 1}})
         assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
+    @pytest.mark.parametrize("sub", ["jdiv", "sphere", "chow", "sample", "mle"])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, sub, seed_args):
+        cfg = write_config(tmp_path, "cfg.json", [1, 2])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([sub, "--config", cfg, "--out", out, *seed_args]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path):
         assert run(["jdiv", "--config", tmp_path / "nope.json", "--out", tmp_path]) == 2

@@ -1,8 +1,17 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+import gaussequiv
 from gaussequiv import ContractError
 from gaussequiv.designs import (
+    _halton,
     dyadic_interval_designs,
     dyadic_interval_points,
     equispaced_interval_design,
@@ -40,8 +49,57 @@ class TestDyadicInterval:
         with pytest.raises(ContractError):
             dyadic_interval_points(12)
 
+    @pytest.mark.parametrize(
+        "domain", [(0.0,), (0.0, 1.0, 5.0), (1.0, 0.0), (0.0, float("inf")), "01", [[0.0], [1.0]]]
+    )
+    def test_rejects_domain_other_than_two_increasing_numbers(self, domain):
+        with pytest.raises(ContractError):
+            dyadic_interval_points(4, domain)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
+    @pytest.mark.parametrize("n", [0, 1, 4, 1000])
+    def test_equals_scipy_unscrambled_halton(self, n, d):
+        # scipy's generator, with the all-zero first point skipped, is the oracle
+        ref = qmc.Halton(d=d, scramble=False)
+        ref.fast_forward(1)
+        expected = ref.random(n)
+        got = _halton(n, d)
+        assert got.shape == expected.shape == (n, d)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_package_does_not_import_scipy_stats(self):
+        script = (
+            "import sys, numpy as np\n"
+            "import gaussequiv as g\n"
+            "y = np.sin(np.arange(12.0))\n"
+            "family = lambda th: g.ExponentialKernel(sigma=float(th[0]), beta=float(th[1]))\n"
+            "problem = g.LikelihoodProblem(family, g.equispaced_interval_design(12), y)\n"
+            "g.fit_mle(problem, g.ParamSpace([0.1, 0.1], [10.0, 10.0]))\n"
+            "g.designs.sphere_sequence(8, 4)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(gaussequiv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestSphereSequence:
+    # SHA-256 of sphere_sequence(512, d).tobytes(); d = 9 sums each row norm
+    # over more than 8 coordinates, where numpy's summation order follows the
+    # memory layout of the Halton points
+    DIGESTS = {
+        3: "03639bc2688c6f92e14b9f656d1420cd381768925ab8dcd9d42807d796f81666",
+        4: "888faf42191d3724ed10ca0f58cf9917ab4d957c0b9803be34ee962a6e3e1c13",
+        9: "4edbd03a6e11889fa92c30a7f8a14b40e45505d52e655eda0a0742f3d50244c8",
+    }
+
+    @pytest.mark.parametrize("d", sorted(DIGESTS))
+    def test_pinned_digest(self, d):
+        assert hashlib.sha256(sphere_sequence(512, d).tobytes()).hexdigest() == self.DIGESTS[d]
+
     def test_unit_norms(self):
         for d in (3, 4, 5):
             pts = sphere_sequence(200, d)
@@ -75,3 +133,8 @@ class TestEquispaced:
     def test_bad_domain(self):
         with pytest.raises(ContractError):
             equispaced_interval_design(5, (1.0, 1.0))
+
+    @pytest.mark.parametrize("domain", [(0.0,), (0.0, 1.0, 5.0), (float("nan"), 1.0), None])
+    def test_rejects_domain_other_than_two_increasing_numbers(self, domain):
+        with pytest.raises(ContractError):
+            equispaced_interval_design(5, domain)

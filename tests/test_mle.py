@@ -225,3 +225,22 @@ class TestMicroergodicExperiment:
             ExperimentConfig(n_grid=(10, 10), replicates=20, seed=1)
         with pytest.raises(ContractError):
             ExperimentConfig(n_grid=(10, 20), replicates=5, seed=1)
+
+    @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
+    @pytest.mark.parametrize("value", [(1.0,), (0.5, 1.0, 2.0)])
+    def test_pairs_must_have_length_two(self, key, value):
+        with pytest.raises(ContractError, match=f"{key} must have length 2"):
+            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **{key: value})
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_evals": 0}, {"max_evals": -5}, {"tol_x": math.nan}, {"tol_x": -1e-6}, {"tol_f": math.inf}],
+    )
+    def test_rejects_out_of_range_settings(self, kwargs):
+        with pytest.raises(ContractError):
+            OptimizerConfig(**kwargs)
+
+    def test_accepts_zero_tolerances_and_one_evaluation(self):
+        OptimizerConfig(tol_x=0.0, tol_f=0.0, max_evals=1)
