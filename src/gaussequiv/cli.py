@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments from JSON configs.
 
 Every run reads a single JSON config, writes CSV/JSON outputs into the
-output directory and emits a ``manifest.json`` recording the subcommand, a
-digest of the config bytes, the effective seed, the tool version and a
-timestamp.  CSV outputs are byte-identical across repeated runs with the
-same config and seed on one platform and release.
+output directory and, once the run has succeeded, emits a ``manifest.json``
+recording the subcommand, a digest of the config bytes, the effective seed,
+the tool version and a timestamp.  CSV outputs are byte-identical across
+repeated runs with the same config and seed on one platform and release.
 
 Exit codes: 0 success, 2 malformed config, 3 singular Gram matrix,
 4 spectral support mismatch (orthogonality), 5 optimization failure rate
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
             raise ContractError(f"seed must be >= 0, not {seed}")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
+        code = args.handler(config, outdir, seed, args)
+        if code != EXIT_OK:
+            return code
         RunManifest(
             subcommand=args.subcommand,
             config_digest=hashlib.sha256(config_bytes).hexdigest(),
@@ -327,7 +330,7 @@ def main(argv=None) -> int:
             tool_version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
         ).write(outdir / "manifest.json")
-        return args.handler(config, outdir, seed, args)
+        return EXIT_OK
     except (ContractError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", EXIT_CONFIG)
     except OSError as exc:

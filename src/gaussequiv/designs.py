@@ -106,13 +106,10 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
     if sphere_dim < 2:
         raise ContractError("sphere ambient dimension must be >= 2")
     if sphere_dim == 3:
-        out = np.empty((n, 3))
-        for i, u in enumerate(_halton(n, 1)[:, 0], start=1):
-            z = 1.0 - 2.0 * float(u)
-            r = np.sqrt(max(0.0, 1.0 - z * z))
-            theta = 2.0 * np.pi * ((i * _GOLDEN_FRAC) % 1.0)
-            out[i - 1] = (r * np.cos(theta), r * np.sin(theta), z)
-        return out
+        z = 1.0 - 2.0 * _halton(n, 1)[:, 0]
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        theta = 2.0 * np.pi * ((np.arange(1, n + 1) * _GOLDEN_FRAC) % 1.0)
+        return np.column_stack((r * np.cos(theta), r * np.sin(theta), z))
     g = ndtri(_halton(n, sphere_dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 

@@ -339,6 +339,7 @@ class TestMle:
         monkeypatch.setattr(cli, "microergodic_experiment", lambda config: report)
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("seed", ["x", 7.9, -1])
     def test_invalid_seed_exit_code(self, tmp_path, seed):
@@ -392,6 +393,7 @@ class TestMle:
         assert run(["mle", "--config", cfg, "--out", out]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (out / "consistency.csv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 class TestCommonBehavior:

@@ -100,6 +100,18 @@ class TestSphereSequence:
     def test_pinned_digest(self, d):
         assert hashlib.sha256(sphere_sequence(512, d).tobytes()).hexdigest() == self.DIGESTS[d]
 
+    def test_d3_equals_scalar_loop(self):
+        # reference: the Fibonacci lattice one point at a time, with scalar math
+        n = 4096
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        expected = np.empty((n, 3))
+        for i, u in enumerate(_halton(n, 1)[:, 0], start=1):
+            z = 1.0 - 2.0 * float(u)
+            r = np.sqrt(max(0.0, 1.0 - z * z))
+            theta = 2.0 * np.pi * ((i * golden) % 1.0)
+            expected[i - 1] = (r * np.cos(theta), r * np.sin(theta), z)
+        assert sphere_sequence(n, 3).tobytes() == expected.tobytes()
+
     def test_unit_norms(self):
         for d in (3, 4, 5):
             pts = sphere_sequence(200, d)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
@@ -233,6 +235,46 @@ class TestGegenbauerNormalized:
             gegenbauer_normalized(3, 3, 1.0 + 1e-9)
         # slack below the tolerance is clamped, not rejected
         assert gegenbauer_normalized(3, 3, 1.0 + 1e-13) == 1.0
+
+    def test_returned_arrays_not_overwritten(self):
+        # the recurrence reuses its buffers; a returned array must not be one of them
+        x = np.linspace(-1.0, 1.0, 101)
+        x_bytes = x.tobytes()
+        values = [gegenbauer_normalized(k, 5, x) for k in range(8)]
+        snapshots = [v.tobytes() for v in values]
+        for k in range(8):
+            gegenbauer_normalized(k, 5, x)
+        assert [v.tobytes() for v in values] == snapshots
+        assert x.tobytes() == x_bytes
+        for i, u in enumerate(values):
+            assert not np.shares_memory(u, x)
+            assert not any(np.shares_memory(u, v) for v in values[i + 1 :])
+
+
+class TestSchoenbergMatrix:
+    # SHA-256 of the matrix on sphere_sequence(1024, 3) for the spectrum
+    # (k+1)^-3 (1 + 0.7/(k+1)), k = 0..60
+    DIGEST = "b53746211e6a5fc00cca59ad38a78f575b2d8449e902f38e4c6212bbb821f71a"
+
+    def test_pinned_digest(self):
+        k = np.arange(61, dtype=float)
+        a2 = (k + 1.0) ** -3
+        spectrum = SchoenbergSpectrum(3, a2 * (1.0 + 0.7 / (k + 1.0)))
+        m = SchoenbergKernel(spectrum).matrix(sphere_sequence(1024, 3))
+        assert (m == m.T).all()
+        assert hashlib.sha256(m.tobytes()).hexdigest() == self.DIGEST
+
+    def test_equals_gegenbauer_sum_over_many_blocks(self):
+        coords = sphere_sequence(700, 4)
+        coeffs = 1.0 / (np.arange(16.0) + 1.0) ** 2
+        spectrum = SchoenbergSpectrum(4, coeffs)
+        dots = np.clip((coords[:, None, :] * coords[None, :, :]).sum(axis=-1), -1.0, 1.0)
+        expected = 0.0
+        for k, (a, h) in enumerate(zip(coeffs, spectrum.harmonic_dims)):
+            expected = expected + a * h * gegenbauer_normalized(k, 4, dots)
+        m = SchoenbergKernel(spectrum).matrix(coords)
+        assert (m == m.T).all()
+        assert m.tobytes() == expected.tobytes()
 
 
 class TestSchoenbergSpectrum:
