@@ -69,13 +69,8 @@ def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.
     if max_size < 2 or max_size & (max_size - 1):
         raise ContractError("dyadic design size must be a power of two, >= 2")
     a, b = _interval(domain)
-    fracs = [0.5, 1.0]
-    level = 2
-    while len(fracs) < max_size:
-        step = 0.5**level
-        fracs.extend((2 * j - 1) * step for j in range(1, 2 ** (level - 1) + 1))
-        level += 1
-    return a + (b - a) * np.array(fracs)
+    levels = (np.arange(1, 2**l, 2) * 0.5**l for l in range(2, max_size.bit_length()))
+    return a + (b - a) * np.concatenate([[0.5, 1.0], *levels])
 
 
 def dyadic_interval_designs(max_size: int, domain: tuple[float, float] = (0.0, 1.0)) -> list[Design]:

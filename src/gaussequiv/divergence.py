@@ -180,28 +180,21 @@ def dichotomy_diagnostic(trace: DivergenceTrace) -> DichotomyVerdict:
         ratio = j_last / j_half
     slope = trace.slope_estimate
     if ratio >= RATIO_ORTHOGONAL:
-        return DichotomyVerdict(
-            VerdictLabel.ORTHOGONALITY,
-            statistic=slope,
-            rationale=(
-                f"J grew by a factor {ratio:.3g} across a doubling of n "
-                f"(threshold {RATIO_ORTHOGONAL}); tail slope {slope:.3g}"
-            ),
+        label = VerdictLabel.ORTHOGONALITY
+        rationale = (
+            f"J grew by a factor {ratio:.3g} across a doubling of n "
+            f"(threshold {RATIO_ORTHOGONAL}); tail slope {slope:.3g}"
         )
-    if ratio <= RATIO_EQUIVALENT and slope * n_last <= SLOPE_FRACTION * j_last + 1e-9:
-        return DichotomyVerdict(
-            VerdictLabel.EQUIVALENCE,
-            statistic=slope,
-            rationale=(
-                f"J is flat: doubling ratio {ratio:.3g} <= {RATIO_EQUIVALENT} and "
-                f"slope*n = {slope * n_last:.3g} within {SLOPE_FRACTION:.0%} of J(n)"
-            ),
+    elif ratio <= RATIO_EQUIVALENT and slope * n_last <= SLOPE_FRACTION * j_last + 1e-9:
+        label = VerdictLabel.EQUIVALENCE
+        rationale = (
+            f"J is flat: doubling ratio {ratio:.3g} <= {RATIO_EQUIVALENT} and "
+            f"slope*n = {slope * n_last:.3g} within {SLOPE_FRACTION:.0%} of J(n)"
         )
-    return DichotomyVerdict(
-        VerdictLabel.INCONCLUSIVE,
-        statistic=slope,
-        rationale=f"doubling ratio {ratio:.3g} between thresholds; tail slope {slope:.3g}",
-    )
+    else:
+        label = VerdictLabel.INCONCLUSIVE
+        rationale = f"doubling ratio {ratio:.3g} between thresholds; tail slope {slope:.3g}"
+    return DichotomyVerdict(label, statistic=slope, rationale=rationale)
 
 
 def trace_to_csv(trace: DivergenceTrace, path) -> None:

@@ -63,6 +63,8 @@ class Geometry:
             raise ContractError(f"unknown geometry kind {self.kind!r}")
         if self.dim < 1:
             raise ContractError("geometry dimension must be >= 1")
+        if self.kind == "sphere" and self.dim < 2:
+            raise ContractError("sphere geometry needs ambient dimension >= 2")
 
     @staticmethod
     def euclidean(dim: int) -> "Geometry":
@@ -70,8 +72,6 @@ class Geometry:
 
     @staticmethod
     def sphere(dim: int) -> "Geometry":
-        if dim < 2:
-            raise ContractError("sphere geometry needs ambient dimension >= 2")
         return Geometry("sphere", dim)
 
 
@@ -176,11 +176,7 @@ def harmonic_dimension(d: int, k: int) -> int:
         raise ContractError("harmonic dimension requires d >= 3")
     if k < 0:
         raise ContractError("degree k must be nonnegative")
-    if k == 0:
-        return 1
-    first = math.comb(k + d - 1, d - 1)
-    second = math.comb(k + d - 3, d - 1) if k + d - 3 >= d - 1 else 0
-    return first - second
+    return math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1)
 
 
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from .designs import _halton, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
 __all__ = [
-    "PENALTY",
     "ParamSpace",
     "LikelihoodProblem",
     "OptimizerConfig",
@@ -273,6 +272,10 @@ def _exponential_family(theta: np.ndarray) -> CovarianceKernel:
     return ExponentialKernel(sigma=float(theta[0]), beta=float(theta[1]))
 
 
+def _rmse(err: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(err**2))) if len(err) else math.nan
+
+
 def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     """Simulate, refit and summarize RMSE across grid refinements.
 
@@ -282,11 +285,8 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     counted.
     """
     sigma0, beta0 = config.theta0
-    true_sigma2 = sigma0**2
-    true_beta = beta0
-    true_micro = sigma0**2 * beta0
     space = ParamSpace(np.array(config.box_lower), np.array(config.box_upper))
-    rmse_s2, rmse_b, rmse_m, failed = [], [], [], []
+    rows, failed = [], []
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
         g0 = gram(ExponentialKernel(sigma=sigma0, beta=beta0), design)
@@ -299,22 +299,15 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
             except OptimizationFailedError:
                 pass
         failed.append(config.replicates - len(ok))
-        if ok:
-            thetas = np.array(ok)
-            s2 = thetas[:, 0] ** 2
-            b = thetas[:, 1]
-            rmse_s2.append(math.sqrt(float(np.mean((s2 - true_sigma2) ** 2))))
-            rmse_b.append(math.sqrt(float(np.mean((b - true_beta) ** 2))))
-            rmse_m.append(math.sqrt(float(np.mean((s2 * b - true_micro) ** 2))))
-        else:
-            rmse_s2.append(math.nan)
-            rmse_b.append(math.nan)
-            rmse_m.append(math.nan)
+        thetas = np.array(ok).reshape(-1, 2)
+        s2, b = thetas[:, 0] ** 2, thetas[:, 1]
+        rows.append([_rmse(s2 - sigma0**2), _rmse(b - beta0), _rmse(s2 * b - sigma0**2 * beta0)])
+    rmse_s2, rmse_b, rmse_m = np.array(rows).T
     return ConsistencyReport(
         n_grid=tuple(config.n_grid),
-        rmse_sigma2=np.array(rmse_s2),
-        rmse_beta=np.array(rmse_b),
-        rmse_microergodic=np.array(rmse_m),
+        rmse_sigma2=rmse_s2,
+        rmse_beta=rmse_b,
+        rmse_microergodic=rmse_m,
         failed=tuple(failed),
         replicates=config.replicates,
         seed=config.seed,

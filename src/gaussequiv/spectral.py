@@ -75,8 +75,8 @@ class AtomicSpectralMeasure:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
         dims = np.atleast_1d(np.asarray(self.dims, dtype=float))
-        if not (len(self.labels) == len(masses) == len(dims)):
-            raise ContractError("labels, masses and dims must have equal length")
+        if not masses.shape == dims.shape == (len(self.labels),):
+            raise ContractError("masses and dims must be 1-D with one entry per label")
         if len(set(self.labels)) != len(self.labels):
             raise ContractError("atom labels must be unique")
         if not np.all((masses > 0) & (masses < math.inf)):
@@ -97,9 +97,9 @@ class AtomicSpectralMeasure:
         except (TypeError, KeyError):
             raise ContractError("measure description must contain an 'atoms' list")
         return AtomicSpectralMeasure(
-            labels=tuple(str(a["label"]) for a in atoms),
-            masses=np.array([float(a["mass"]) for a in atoms]),
-            dims=np.array([float(a["dim"]) for a in atoms]),
+            labels=[a["label"] for a in atoms],
+            masses=[a["mass"] for a in atoms],
+            dims=[a["dim"] for a in atoms],
         )
 
     def to_json(self) -> dict:

@@ -237,6 +237,25 @@ class TestChow:
         )
         assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mass", None), ("mass", "x"), ("mass", [1, 2]), ("dim", None), ("dim", [1, 2]), ("label", ...)],
+    )
+    def test_malformed_atom_exit_code(self, tmp_path, field, value):
+        self._measures(tmp_path)
+        for name in ("m1.json", "m2.json"):
+            bad = json.loads((tmp_path / name).read_text())
+            for atom in bad["atoms"]:
+                if value is ...:
+                    del atom[field]
+                else:
+                    atom[field] = value
+            (tmp_path / name).write_text(json.dumps(bad))
+        cfg = write_config(
+            tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}
+        )
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
 
 class TestSample:
     CONFIG = {

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of CLI outputs.
+"""Pinned SHA-256 digests of CLI outputs, and pins of library results.
 
 The configs are those of the acceptance determinism check, plus two
 ``sample`` runs on a dyadic and on an explicit design and two ``chow`` runs
@@ -6,14 +6,27 @@ with a power-law tail model, with and without ``weight_bound``.  Each digest cov
 one output file byte for byte, so a changed digest means a changed output;
 refactors must leave every digest as it is.  At these sizes the digests do
 not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
+
+The library pins at the end cover the package's public names, two
+generated arrays and the verdict rationale strings, which no CLI digest
+reaches byte for byte.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from gaussequiv import cli
+import gaussequiv
+from gaussequiv import (
+    DivergenceTrace,
+    VerdictLabel,
+    cli,
+    dichotomy_diagnostic,
+    dyadic_interval_points,
+    harmonic_dimensions,
+)
 
 MEASURE1 = {"atoms": [{"label": "x1", "mass": 2.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
 MEASURE2 = {"atoms": [{"label": "x1", "mass": 1.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
@@ -114,3 +127,64 @@ def test_output_files(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+PUBLIC_NAMES = [
+    "AtomMismatchError", "AtomicSpectralMeasure", "BrownianKernel", "ConsistencyReport",
+    "ConstantRatio", "ContractError", "CovarianceKernel", "CriterionResult", "Design",
+    "DichotomyVerdict", "DivergenceTrace", "ExperimentConfig", "ExponentialKernel",
+    "FiniteFunction", "Geometry", "GramMatrix", "LikelihoodProblem", "MLEResult",
+    "OptimizationFailedError", "OptimizerConfig", "ParamSpace", "PowerLawRatio", "RatioModel",
+    "SampleBatch", "SchoenbergKernel", "SchoenbergSpectrum", "SingularGramError", "Verdict",
+    "VerdictLabel", "atomic_measure_from_spectrum", "batch_to_csv", "check_shared_atoms",
+    "chow_sum", "cli", "criterion_to_csv", "derive_seed", "designs", "dichotomy_diagnostic",
+    "divergence", "dyadic_interval_designs", "dyadic_interval_points", "empirical_covariance",
+    "equispaced_interval_design", "errors", "eval_kernel", "fibonacci_sphere_designs",
+    "fit_mle", "gaussian_logpdf", "gegenbauer_normalized", "gram", "gram_from_matrix",
+    "harmonic_dimension", "harmonic_dimensions", "is_prefix_nested", "j_divergence",
+    "j_divergence_trace", "kernel_from_json", "kernel_to_json", "kernels",
+    "microergodic_experiment", "mle", "neg_log_likelihood", "report_to_csv",
+    "reproducing_check", "rkhs", "rkhs_inner", "rkhs_norm", "sample_paths", "sampler",
+    "spectra_from_ratio_model", "spectral", "sphere_equivalence_sum", "sphere_sequence",
+    "tensor_norm_finite", "trace_to_csv", "trace_to_json",
+]
+
+
+def test_public_names():
+    # ``cli`` is imported above, so it is a package attribute like the modules
+    assert sorted(n for n in dir(gaussequiv) if not n.startswith("_")) == PUBLIC_NAMES
+
+
+def test_dyadic_points_digest():
+    pts = dyadic_interval_points(2**20, (0.0, 1.5))
+    digest = hashlib.sha256(pts.tobytes()).hexdigest()
+    assert digest == "929e6b0147697ee7aa0779662ed09fad64ea935dff7fbd189ecedfff32f33422"
+
+
+def test_harmonic_dimensions_digest():
+    h = hashlib.sha256()
+    for d in range(3, 30):
+        h.update(harmonic_dimensions(d, 500).tobytes())
+    assert h.hexdigest() == "4570a774b2270a88e9d22d69e288bf38459d9f7baf8217208c8415a9b24fa79a"
+
+
+@pytest.mark.parametrize(
+    "values, slope, label, rationale",
+    [
+        (
+            [0.5, 1.25, 3.0, 7.7], 0.5875, VerdictLabel.ORTHOGONALITY,
+            "J grew by a factor 2.57 across a doubling of n (threshold 1.5); tail slope 0.588",
+        ),
+        (
+            [1.0, 1.02, 1.03, 1.031], 0.0001, VerdictLabel.EQUIVALENCE,
+            "J is flat: doubling ratio 1 <= 1.05 and slope*n = 0.0016 within 5% of J(n)",
+        ),
+        (
+            [1.0, 1.1, 1.2, 1.3], 0.0125, VerdictLabel.INCONCLUSIVE,
+            "doubling ratio 1.08 between thresholds; tail slope 0.0125",
+        ),
+    ],
+)
+def test_verdict_rationale(values, slope, label, rationale):
+    verdict = dichotomy_diagnostic(DivergenceTrace((2, 4, 8, 16), np.array(values), slope))
+    assert (verdict.label, verdict.statistic, verdict.rationale) == (label, slope, rationale)

@@ -177,6 +177,14 @@ class TestDesign:
         with pytest.raises(ContractError):
             Design.from_json({"geometry": geometry, "points": [[0.1], [0.2, 0.3]]})
 
+    def test_sphere_needs_ambient_dimension_two(self):
+        # the rule holds for every construction path, not only Geometry.sphere
+        with pytest.raises(ContractError, match="ambient dimension >= 2"):
+            Geometry("sphere", 1)
+        with pytest.raises(ContractError, match="ambient dimension >= 2"):
+            Design.from_json({"geometry": {"kind": "sphere", "dim": 1}, "points": [[1.0], [-1.0]]})
+        assert Geometry.sphere(2) == Geometry("sphere", 2)
+
     def test_json_roundtrip(self, rng):
         d = Design.on_sphere(random_unit_vectors(rng, 4, 3))
         d2 = Design.from_json(d.to_json())

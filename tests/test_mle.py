@@ -215,6 +215,29 @@ class TestMicroergodicExperiment:
         assert lines[0] == "n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates"
         assert len(lines) == 3
 
+    def test_grid_where_every_fit_fails(self, tmp_path, monkeypatch):
+        real_fit = fit_mle
+
+        def fit_or_fail(problem, space, config):
+            if len(problem.design) == 12:
+                raise OptimizationFailedError("all starts terminated on the singularity penalty")
+            return real_fit(problem, space, config)
+
+        monkeypatch.setattr("gaussequiv.mle.fit_mle", fit_or_fail)
+        config = ExperimentConfig(
+            n_grid=(8, 12),
+            replicates=20,
+            seed=5,
+            optimizer=OptimizerConfig(starts=2, max_evals=200),
+        )
+        report = microergodic_experiment(config)
+        assert report.failed == (0, 20)
+        rmses = (report.rmse_sigma2, report.rmse_beta, report.rmse_microergodic)
+        assert all(np.isfinite(r[0]) and math.isnan(r[1]) for r in rmses)
+        path = tmp_path / "consistency.csv"
+        report_to_csv(report, path)
+        assert path.read_text().splitlines()[2] == "12,nan,nan,nan,20"
+
     def test_workers_other_than_one_rejected(self):
         ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, workers=1)
         with pytest.raises(ContractError, match="workers must be 1"):

@@ -222,6 +222,13 @@ class TestMeasureJson:
         with pytest.raises(ContractError):
             AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "masses, dims", [([[1.0, 2.0]], [1]), ([1.0], [[1, 2]]), ([[1.0]], [[1]])]
+    )
+    def test_two_dimensional_arrays_rejected(self, masses, dims):
+        with pytest.raises(ContractError):
+            AtomicSpectralMeasure(("a",), masses, dims)
+
 
 class TestInputValidation:
     """Non-finite masses and ratio parameters, and fractional dimensions, are rejected."""
