@@ -6,9 +6,9 @@ recording the subcommand, a digest of the config bytes, the effective seed,
 the tool version and a timestamp.  CSV outputs are byte-identical across
 repeated runs with the same config and seed on one platform and release.
 
-Exit codes: 0 success, 2 malformed config, 3 singular Gram matrix,
-4 spectral support mismatch (orthogonality), 5 optimization failure rate
-above 20%.
+Exit codes: 0 success, 2 malformed or unreadable config (or an output that
+cannot be written), 3 singular Gram matrix, 4 spectral support mismatch
+(orthogonality), 5 optimization failure rate above 20%.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .designs import (
@@ -32,8 +29,8 @@ from .designs import (
     sphere_sequence,
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
-from .errors import AtomMismatchError, ContractError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, _integer, gram, kernel_from_json
+from .errors import AtomMismatchError, ContractError, OptimizationFailedError, SingularGramError
+from .kernels import Design, SchoenbergSpectrum, _integer, _number, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
 from .sampler import batch_to_csv, sample_paths
 from .spectral import (
@@ -51,18 +48,6 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_ATOM_MISMATCH = 4
 EXIT_OPTIMIZATION = 5
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    config_digest: str
-    seed: int | None
-    tool_version: str
-    timestamp: str
-
-    def write(self, path: Path) -> None:
-        _write_json(path, self.__dict__)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -116,7 +101,7 @@ def _write_criterion(result: CriterionResult, outdir: Path, index_name: str, ext
 # ---------------------------------------------------------------------------
 
 
-def _run_jdiv(config: dict, outdir: Path, seed, args) -> int:
+def _run_jdiv(config: dict, outdir: Path, seed, args) -> None:
     k1 = kernel_from_json(config["kernel1"])
     k2 = kernel_from_json(config["kernel2"])
     designs = _nested_designs_from_config(config["designs"])
@@ -126,39 +111,35 @@ def _run_jdiv(config: dict, outdir: Path, seed, args) -> int:
     verdict = dichotomy_diagnostic(trace)
     trace_to_csv(trace, outdir / "trace.csv")
     _write_json(outdir / "verdict.json", trace_to_json(trace, verdict))
-    return EXIT_OK
 
 
-def _run_sphere(config: dict, outdir: Path, seed, args) -> int:
+def _run_sphere(config: dict, outdir: Path, seed, args) -> None:
     d = _integer(config["sphere_dim"], "sphere_dim")
     last_k = _integer(config["K"], "K")
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     if "spectrum1" in config or "spectrum2" in config:
-        s1 = SchoenbergSpectrum(d, np.asarray(config["spectrum1"], dtype=float))
-        s2 = SchoenbergSpectrum(d, np.asarray(config["spectrum2"], dtype=float))
+        s1 = SchoenbergSpectrum(d, _number(config["spectrum1"], "spectrum1", array=True))
+        s2 = SchoenbergSpectrum(d, _number(config["spectrum2"], "spectrum2", array=True))
     elif model is not None:
         s1, s2 = spectra_from_ratio_model(model, d, last_k)
     else:
         raise ContractError("config must provide explicit spectra or a ratio_model")
     result = sphere_equivalence_sum(s1, s2, last_k, tail_model=model)
     _write_criterion(result, outdir, "k", {"sphere_dim": d, "K": last_k})
-    return EXIT_OK
 
 
-def _run_chow(config: dict, outdir: Path, seed, args) -> int:
+def _run_chow(config: dict, outdir: Path, seed, args) -> None:
     base = Path(args.config).resolve().parent
     m1 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure1"]).read_text()))
     m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
     n_atoms = _integer(config["N"], "N")
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
-    result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=config.get("weight_bound"))
+    bound = _number(config["weight_bound"], "weight_bound") if "weight_bound" in config else None
+    result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=bound)
     _write_criterion(result, outdir, "n", {"N": n_atoms})
-    return EXIT_OK
 
 
-def _run_sample(config: dict, outdir: Path, seed, args) -> int:
-    if seed is None:
-        raise ContractError("sample requires a seed (config key 'seed' or --seed)")
+def _run_sample(config: dict, outdir: Path, seed, args) -> None:
     kernel = kernel_from_json(config["kernel"])
     design = _design_from_config(config["design"])
     m = _integer(config["replicates"], "replicates")
@@ -171,53 +152,44 @@ def _run_sample(config: dict, outdir: Path, seed, args) -> int:
         "replicates": m,
     }
     _write_json(outdir / "sample_meta.json", sidecar)
-    return EXIT_OK
 
 
 def _optimizer_from_config(obj: dict) -> OptimizerConfig:
-    """OptimizerConfig from the keys present in ``obj``, each cast to its default's type."""
-    defaults = OptimizerConfig()
-    unknown = sorted(set(_object(obj, "optimizer")) - set(vars(defaults)))
+    """OptimizerConfig from the keys present in ``obj``, each read as its default's type."""
+    read = {k: _integer if isinstance(v, int) else _number for k, v in vars(OptimizerConfig()).items()}
+    unknown = sorted(set(_object(obj, "optimizer")) - set(read))
     if unknown:
         raise ContractError(f"unknown optimizer key(s): {', '.join(unknown)}")
-
-    def cast(key, value):
-        default = getattr(defaults, key)
-        return _integer(value, key) if isinstance(default, int) else type(default)(value)
-
-    return OptimizerConfig(**{k: cast(k, v) for k, v in obj.items()})
+    return OptimizerConfig(**{k: read[k](v, k) for k, v in obj.items()})
 
 
-def _run_mle(config: dict, outdir: Path, seed, args) -> int:
-    if seed is None:
-        raise ContractError("mle requires a seed (config key 'seed' or --seed)")
-    present = {k: tuple(map(float, config[k])) for k in ("theta0", "domain") if k in config}
-    if "box" in config:
-        present["box_lower"], present["box_upper"] = (tuple(map(float, b)) for b in config["box"])
+def _run_mle(config: dict, outdir: Path, seed, args) -> None:
+    present = {
+        k: _number(config[k], k, array=True).tolist() for k in ("theta0", "domain", "box") if k in config
+    }
+    if "box" in present:
+        present["box_lower"], present["box_upper"] = present.pop("box")
     exp_config = ExperimentConfig(
         n_grid=tuple(_integer(n, "n_grid") for n in config["n_grid"]),
         replicates=_integer(config["replicates"], "replicates"),
         seed=seed,
         optimizer=_optimizer_from_config(config.get("optimizer", {})),
-        **present,
+        **{k: tuple(v) for k, v in present.items()},
     )
     report = microergodic_experiment(exp_config)
     report_to_csv(report, outdir / "consistency.csv")
-    attempted = report.replicates * len(report.n_grid)
-    if sum(report.failed) > 0.2 * attempted:
-        return _fail(
-            f"optimization failed for {sum(report.failed)} of {attempted} replicates",
-            EXIT_OPTIMIZATION,
-        )
-    return EXIT_OK
+    failed, attempted = sum(report.failed), report.replicates * len(report.n_grid)
+    if failed > 0.2 * attempted:
+        raise OptimizationFailedError(f"optimization failed for {failed} of {attempted} replicates")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_EPILOGS = {
-    "jdiv": """\
+# name -> (handler, one-line help, epilog listing the config keys and outputs)
+_SUBCOMMANDS = {
+    "jdiv": (_run_jdiv, "divergence trace of two kernels along nested designs, with verdict", """\
 config keys:
   kernel1, kernel2   kernel descriptions, e.g. {"variant": "brownian", "sigma": 1.0},
                      {"variant": "exponential", "sigma": 1.0, "beta": 1.0} or
@@ -225,8 +197,8 @@ config keys:
   designs            nested design generator, one of
                      {"type": "dyadic_interval", "max_n": 128, "domain": [0, 1]}
                      {"type": "fibonacci_sphere", "sizes": [20, 40, 80], "sphere_dim": 3}
-outputs: trace.csv (n,J,slope_estimate), verdict.json, manifest.json""",
-    "sphere": """\
+outputs: trace.csv (n,J,slope_estimate), verdict.json, manifest.json"""),
+    "sphere": (_run_sphere, "spherical-spectrum equivalence criterion sum", """\
 config keys:
   sphere_dim         ambient dimension d >= 3
   K                  last degree of the partial sum
@@ -235,16 +207,16 @@ config keys:
   ratio_model        closed-form tail model, {"type": "power", "c": 1.0, "s": 2.0}
                      or {"type": "constant", "alpha": 4.0}; when spectra are
                      omitted it also generates them (a2 = 1, a1 = ratio)
-outputs: criterion.csv (k,term,partial_sum), verdict.json, manifest.json""",
-    "chow": """\
+outputs: criterion.csv (k,term,partial_sum), verdict.json, manifest.json"""),
+    "chow": (_run_chow, "dimension-weighted atom criterion sum for two atomic measures", """\
 config keys:
   measure1, measure2 paths to atomic-measure JSON files, relative to the config;
                      format {"atoms": [{"label": "k0", "mass": 1.0, "dim": 1}, ...]}
   N                  number of leading atoms to sum
   ratio_model        optional closed-form tail model (see sphere)
   weight_bound       optional bound >= 1 on atom dimensions beyond N (default: max seen)
-outputs: criterion.csv (n,term,partial_sum), verdict.json, manifest.json""",
-    "sample": """\
+outputs: criterion.csv (n,term,partial_sum), verdict.json, manifest.json"""),
+    "sample": (_run_sample, "draw seeded Gaussian replicates for a kernel on a design", """\
 config keys:
   kernel             kernel description (see jdiv)
   design             one of {"type": "equispaced_interval", "n": 8, "domain": [0, 1]},
@@ -253,8 +225,8 @@ config keys:
                      {"type": "explicit", "geometry": {...}, "points": [[...], ...]}
   replicates         number of rows to draw
   seed               unsigned generator seed (--seed overrides)
-outputs: samples.csv (one replicate per row), sample_meta.json, manifest.json""",
-    "mle": """\
+outputs: samples.csv (one replicate per row), sample_meta.json, manifest.json"""),
+    "mle": (_run_mle, "microergodic ML consistency experiment for the exponential kernel", """\
 config keys:
   n_grid             strictly increasing grid sizes, e.g. [50, 100, 200, 400]
   replicates         replicates per grid size (>= 20)
@@ -265,23 +237,7 @@ config keys:
                      default [[0.05, 0.05], [20.0, 20.0]]
   optimizer          optional overrides: starts, tol_x, tol_f, max_evals
 outputs: consistency.csv (n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates),
-         manifest.json""",
-}
-
-_HANDLERS = {
-    "jdiv": _run_jdiv,
-    "sphere": _run_sphere,
-    "chow": _run_chow,
-    "sample": _run_sample,
-    "mle": _run_mle,
-}
-
-_HELP = {
-    "jdiv": "divergence trace of two kernels along nested designs, with verdict",
-    "sphere": "spherical-spectrum equivalence criterion sum",
-    "chow": "dimension-weighted atom criterion sum for two atomic measures",
-    "sample": "draw seeded Gaussian replicates for a kernel on a design",
-    "mle": "microergodic ML consistency experiment for the exponential kernel",
+         manifest.json"""),
 }
 
 
@@ -291,11 +247,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Equivalence vs. orthogonality experiments for centered Gaussian processes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, handler in _HANDLERS.items():
+    for name, (handler, summary, epilog) in _SUBCOMMANDS.items():
         p = sub.add_parser(
             name,
-            help=_HELP[name],
-            epilog=_EPILOGS[name],
+            help=summary,
+            epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="path to the JSON run config")
@@ -309,29 +265,26 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config_bytes = Path(args.config).read_bytes()
-        config = json.loads(config_bytes)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read config: {exc}", EXIT_CONFIG)
-    try:
-        config = _object(config, "config")
+        config = _object(json.loads(config_bytes), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         seed = None if seed is None else _integer(seed, "seed")
         if seed is not None and seed < 0:
             raise ContractError(f"seed must be >= 0, not {seed}")
+        if seed is None and args.subcommand in ("sample", "mle"):
+            raise ContractError(f"{args.subcommand} requires a seed (config key 'seed' or --seed)")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        code = args.handler(config, outdir, seed, args)
-        if code != EXIT_OK:
-            return code
-        RunManifest(
-            subcommand=args.subcommand,
-            config_digest=hashlib.sha256(config_bytes).hexdigest(),
-            seed=seed,
-            tool_version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        ).write(outdir / "manifest.json")
+        args.handler(config, outdir, seed, args)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config_digest": hashlib.sha256(config_bytes).hexdigest(),
+            "seed": seed,
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        _write_json(outdir / "manifest.json", manifest)
         return EXIT_OK
-    except (ContractError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", EXIT_CONFIG)
     except OSError as exc:
         return _fail(str(exc), EXIT_CONFIG)
@@ -339,6 +292,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_SINGULAR)
     except AtomMismatchError as exc:
         return _fail(str(exc), EXIT_ATOM_MISMATCH)
+    except OptimizationFailedError as exc:
+        return _fail(str(exc), EXIT_OPTIMIZATION)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ContractError
-from .kernels import Design
+from .kernels import Design, _number
 
 __all__ = [
     "dyadic_interval_points",
@@ -50,11 +50,8 @@ def _halton(n: int, d: int) -> np.ndarray:
 
 def _interval(domain) -> tuple[float, float]:
     """The endpoints (a, b) of a ``domain`` of exactly two finite numbers a < b."""
-    try:
-        ab = np.asarray(domain, dtype=float)
-    except (TypeError, ValueError):
-        ab = None
-    if ab is None or ab.shape != (2,) or not -np.inf < ab[0] < ab[1] < np.inf:
+    ab = _number(domain, "domain", array=True)
+    if ab.shape != (2,) or not -np.inf < ab[0] < ab[1] < np.inf:
         raise ContractError(f"domain must be two finite numbers [a, b] with a < b, not {domain!r}")
     return float(ab[0]), float(ab[1])
 

@@ -28,4 +28,4 @@ class AtomMismatchError(RuntimeError):
 
 
 class OptimizationFailedError(RuntimeError):
-    """Every optimizer start terminated on the singularity penalty."""
+    """Every start of a fit hit the singularity penalty, or the CLI lost over 20% of its fits."""

@@ -13,10 +13,12 @@ harmonic dimension and ``G_k`` the Gegenbauer polynomial normalized to
 from __future__ import annotations
 
 import math
+import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
+from numbers import Real
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -158,7 +160,7 @@ class Design:
     @staticmethod
     def from_json(obj: dict) -> "Design":
         geom = Geometry(obj["geometry"]["kind"], _integer(obj["geometry"]["dim"], "dim"))
-        return Design(obj["points"], geom)
+        return Design(_number(obj["points"], "points", array=True), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +510,28 @@ def eval_kernel(kernel: CovarianceKernel, s, t) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, key: str, array: bool = False):
+    """A JSON number as a float; with ``array``, JSON numbers nested in lists
+    as a float ndarray whose shape the caller checks.
+
+    ``bool``, ``str`` and ``null`` are not numbers, although ``float()`` and
+    numpy read all three.  The leaf types are tested as one set, so a long
+    list costs no Python call per entry.
+    """
+    leaves = np.array(value, dtype=object)
+    types = set(map(type, leaves.flat))
+    if bool in types or not all(issubclass(t, Real) for t in types) or (leaves.ndim and not array):
+        what = "an array of JSON numbers" if array else "a JSON number"
+        raise ContractError(f"{key} must be {what}, not {reprlib.repr(value)}")
+    try:
+        return leaves.astype(float) if array else float(value)
+    except OverflowError:
+        raise ContractError(f"{key} is too large for a float") from None
+
+
 def _integer(value, key: str) -> int:
     """A JSON count as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value, key).is_integer():
         raise ContractError(f"{key} must be an integer, not {value!r}")
     return int(value)
 
@@ -529,12 +550,12 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
     except (TypeError, KeyError):
         raise ContractError("kernel description must be an object with a 'variant' key")
     if variant == "brownian":
-        return BrownianKernel(sigma=float(obj["sigma"]))
+        return BrownianKernel(sigma=_number(obj["sigma"], "sigma"))
     if variant == "exponential":
-        return ExponentialKernel(sigma=float(obj["sigma"]), beta=float(obj["beta"]))
+        return ExponentialKernel(sigma=_number(obj["sigma"], "sigma"), beta=_number(obj["beta"], "beta"))
     if variant == "schoenberg":
-        spectrum = SchoenbergSpectrum(_integer(obj["d"], "d"), np.asarray(obj["coeffs"], dtype=float))
-        return SchoenbergKernel(spectrum)
+        coeffs = _number(obj["coeffs"], "coeffs", array=True)
+        return SchoenbergKernel(SchoenbergSpectrum(_integer(obj["d"], "d"), coeffs))
     raise ContractError(f"unknown kernel variant {variant!r}")
 
 

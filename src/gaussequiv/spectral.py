@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import AtomMismatchError, ContractError
-from .kernels import SchoenbergSpectrum, harmonic_dimensions
+from .kernels import SchoenbergSpectrum, _number, harmonic_dimensions
 
 __all__ = [
     "Verdict",
@@ -96,10 +96,13 @@ class AtomicSpectralMeasure:
             atoms = obj["atoms"]
         except (TypeError, KeyError):
             raise ContractError("measure description must contain an 'atoms' list")
+        labels = [a["label"] for a in atoms]
+        if not set(map(type, labels)) <= {str}:
+            raise ContractError("atom labels must be JSON strings")
         return AtomicSpectralMeasure(
-            labels=[a["label"] for a in atoms],
-            masses=[a["mass"] for a in atoms],
-            dims=[a["dim"] for a in atoms],
+            labels=labels,
+            masses=_number([a["mass"] for a in atoms], "mass", array=True),
+            dims=_number([a["dim"] for a in atoms], "dim", array=True),
         )
 
     def to_json(self) -> dict:
@@ -191,9 +194,9 @@ def ratio_model_from_json(obj: dict) -> RatioModel:
     except (TypeError, KeyError):
         raise ContractError("ratio model must be an object with a 'type' key")
     if kind == "power":
-        return PowerLawRatio(c=float(obj["c"]), s=float(obj["s"]))
+        return PowerLawRatio(c=_number(obj["c"], "c"), s=_number(obj["s"], "s"))
     if kind == "constant":
-        return ConstantRatio(alpha=float(obj["alpha"]))
+        return ConstantRatio(alpha=_number(obj["alpha"], "alpha"))
     raise ContractError(f"unknown ratio model type {kind!r}")
 
 

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaussequiv import cli
 from gaussequiv.mle import ConsistencyReport
+
+HELP_DIR = Path(__file__).parent / "help"
 
 
 def write_config(tmp_path, name, payload):
@@ -79,6 +82,13 @@ class TestJdiv:
             },
         )
         assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == 3
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_unknown_kernel_variant_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(JDIV_BROWNIAN, kernel1={"variant": "matern", "sigma": 1.0}))
+        assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "unknown kernel variant 'matern'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
     def test_infinite_sigma_exit_code(self, tmp_path):
@@ -155,6 +165,7 @@ class TestSphere:
             {"sphere_dim": 3, "K": 2, "spectrum1": [1.0, 1.0, 1.0], "spectrum2": [1.0, 1.0, 0.0]},
         )
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 4
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("last_k, code", [(2.9, 2), (2.0, 0)])
     def test_integer_key_not_truncated(self, tmp_path, capsys, last_k, code):
@@ -239,9 +250,12 @@ class TestChow:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("mass", None), ("mass", "x"), ("mass", [1, 2]), ("dim", None), ("dim", [1, 2]), ("label", ...)],
+        [
+            ("mass", None), ("mass", "x"), ("mass", [1, 2]), ("dim", None), ("dim", [1, 2]), ("label", ...),
+            ("mass", "2"), ("dim", True),
+        ],
     )
-    def test_malformed_atom_exit_code(self, tmp_path, field, value):
+    def test_malformed_atom_exit_code(self, tmp_path, capsys, field, value):
         self._measures(tmp_path)
         for name in ("m1.json", "m2.json"):
             bad = json.loads((tmp_path / name).read_text())
@@ -255,6 +269,8 @@ class TestChow:
             tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}
         )
         assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestSample:
@@ -292,7 +308,7 @@ class TestSample:
         assert "finite square" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
 
-    @pytest.mark.parametrize("seed", ["x", 7.9, -1])
+    @pytest.mark.parametrize("seed", ["x", "7", 7.9, -1])
     def test_invalid_seed_exit_code(self, tmp_path, seed):
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, seed=seed))
         out = tmp_path / "out"
@@ -311,7 +327,7 @@ class TestSample:
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, **{key: value}))
         assert run(["sample", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
-    @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 5], ["0.5", "1"]])
     def test_domain_not_two_numbers_exit_code(self, tmp_path, domain):
         config = dict(self.CONFIG, design={"type": "equispaced_interval", "n": 6, "domain": domain})
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -360,7 +376,7 @@ class TestMle:
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("seed", ["x", 7.9, -1])
+    @pytest.mark.parametrize("seed", ["x", "7", 7.9, -1])
     def test_invalid_seed_exit_code(self, tmp_path, seed):
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, seed=seed))
         out = tmp_path / "out"
@@ -404,6 +420,7 @@ class TestMle:
             ("optimizer", {"max_evals": 0}),
             ("optimizer", {"tol_x": "nan"}),
             ("optimizer", {"tol_f": -1.0}),
+            ("optimizer", {"tol_x": "1e-3"}),
         ],
     )
     def test_out_of_range_setting_exit_code(self, tmp_path, capsys, key, value):
@@ -435,6 +452,14 @@ class TestCommonBehavior:
         assert "config must be a JSON object" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sub", ["sample", "mle"])
+    def test_missing_seed_creates_no_out(self, tmp_path, capsys, sub):
+        config = {k: v for k, v in {"sample": TestSample.CONFIG, "mle": TestMle.CONFIG}[sub].items() if k != "seed"}
+        out = tmp_path / "out"
+        assert run([sub, "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 2
+        assert f"{sub} requires a seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run(["jdiv", "--config", tmp_path / "nope.json", "--out", tmp_path]) == 2
 
@@ -443,6 +468,7 @@ class TestCommonBehavior:
         out = tmp_path / "out"
         assert run(["jdiv", "--config", cfg, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["subcommand", "config_digest", "seed", "tool_version", "timestamp"]
         assert manifest["subcommand"] == "jdiv"
         assert len(manifest["config_digest"]) == 64
         assert manifest["tool_version"]
@@ -479,3 +505,70 @@ class TestCommonBehavior:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "config keys:" in out
+
+    @pytest.mark.parametrize("argv", [[], ["jdiv"], ["sphere"], ["chow"], ["sample"], ["mle"]])
+    def test_help_text_pinned(self, capsys, monkeypatch, argv):
+        # tests/help/<name>.txt holds the --help output at 80 columns, byte for byte
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--help"])
+        assert exc.value.code == 0
+        pinned = HELP_DIR / f"{argv[0] if argv else 'gaussequiv'}.txt"
+        assert capsys.readouterr().out == pinned.read_text()
+
+
+class TestJsonTypes:
+    """Numbers, counts and atom labels of the wrong JSON type exit 2 with no manifest
+    (the seed, domain, optimizer and atom tests above hold more cases)."""
+
+    BASE = {
+        "sample": TestSample.CONFIG,
+        "sphere": {"sphere_dim": 3, "K": 2, "spectrum1": [1.0, 2.0, 1.0], "spectrum2": [1.0, 1.0, 1.0]},
+        "chow": {"measure1": "m1.json", "measure2": "m2.json", "N": 2},
+    }
+
+    @pytest.mark.parametrize(
+        "sub, changes",
+        [
+            ("sample", {"kernel": {"variant": "brownian", "sigma": "1.5"}}),
+            ("sphere", {"K": "2"}),
+            ("sample", {"replicates": True}),
+            ("sphere", {"spectrum1": ["1.0", 2.0, 1.0]}),
+            ("chow", {"weight_bound": "3"}),
+        ],
+        ids=["sigma", "K", "replicates", "spectrum1", "weight_bound"],
+    )
+    def test_config_value_rejected(self, tmp_path, capsys, sub, changes):
+        TestChow()._measures(tmp_path)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {**self.BASE[sub], **changes})
+        assert run([sub, "--config", cfg, "--out", out]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("label", [1, None])
+    def test_atom_label_not_string_rejected(self, tmp_path, capsys, label):
+        TestChow()._measures(tmp_path)
+        for name in ("m1.json", "m2.json"):
+            measure = json.loads((tmp_path / name).read_text())
+            measure["atoms"][0]["label"] = label
+            (tmp_path / name).write_text(json.dumps(measure))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", self.BASE["chow"])
+        assert run(["chow", "--config", cfg, "--out", out]) == 2
+        assert "invalid config: atom labels must be JSON strings" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_integral_numbers_still_read(self, tmp_path):
+        # an integer sigma, a 6.0 count and a 7.0 seed give the bytes of 2.0, 6 and 7
+        outs = []
+        for sigma, n, seed in [(2, 6.0, 7.0), (2.0, 6, 7)]:
+            config = {
+                "kernel": {"variant": "brownian", "sigma": sigma},
+                "design": {"type": "equispaced_interval", "n": n, "domain": [0.5, 1]},
+                "replicates": 3,
+                "seed": seed,
+            }
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert run(["sample", "--config", write_config(tmp_path, "cfg.json", config), "--out", outs[-1]]) == 0
+        assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()

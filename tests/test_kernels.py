@@ -176,6 +176,10 @@ class TestDesign:
         # ragged rows are a contract violation, not a NumPy shape error
         with pytest.raises(ContractError):
             Design.from_json({"geometry": geometry, "points": [[0.1], [0.2, 0.3]]})
+        # strings, booleans and null are not coordinates
+        for points in (["0.1", "0.2"], [[0.1], [True]], [[0.1], None]):
+            with pytest.raises(ContractError, match="points"):
+                Design.from_json({"geometry": geometry, "points": points})
 
     def test_sphere_needs_ambient_dimension_two(self):
         # the rule holds for every construction path, not only Geometry.sphere
@@ -334,6 +338,18 @@ class TestKernelJson:
         for make in (lambda: BrownianKernel(sigma=1e200), lambda: ExponentialKernel(sigma=1e200, beta=1.0)):
             with pytest.raises(ContractError, match="with a finite square"):
                 make()
+
+    @pytest.mark.parametrize("bad", ["1.5", True, None, [1.5], 10**400], ids=["str", "bool", "null", "list", "huge"])
+    def test_sigma_not_a_json_number_rejected(self, bad):
+        with pytest.raises(ContractError, match="sigma"):
+            kernel_from_json({"variant": "brownian", "sigma": bad})
+
+    def test_numpy_scalars_round_trip(self):
+        k = ExponentialKernel(sigma=np.float64(1.5), beta=np.float64(2.0))
+        assert kernel_from_json(kernel_to_json(k)) == k
+        geometry = {"kind": "euclidean", "dim": np.int64(1)}
+        design = Design.from_json({"geometry": geometry, "points": np.arange(1.0, 4.0)})
+        np.testing.assert_array_equal(design.coords, [[1.0], [2.0], [3.0]])
 
     def test_non_integral_sphere_dimension_rejected(self):
         with pytest.raises(ContractError, match="d must be an integer"):

@@ -20,6 +20,7 @@ from gaussequiv import (
     spectra_from_ratio_model,
     sphere_equivalence_sum,
 )
+from gaussequiv.spectral import ratio_model_from_json
 
 
 class TestSphereEquivalenceSum:
@@ -231,13 +232,27 @@ class TestMeasureJson:
 
 
 class TestInputValidation:
-    """Non-finite masses and ratio parameters, and fractional dimensions, are rejected."""
+    """Non-finite masses and ratio parameters, fractional dimensions and wrong JSON types are rejected."""
 
-    @pytest.mark.parametrize("field, value", [("mass", math.inf), ("dim", 2.7), ("dim", math.inf)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mass", math.inf), ("dim", 2.7), ("dim", math.inf),
+            ("label", 1), ("label", None), ("mass", "2"), ("mass", False), ("dim", "2"), ("dim", True),
+        ],
+    )
     def test_atom_rejected(self, field, value):
         atom = {"label": "a", "mass": 1.0, "dim": 1, field: value}
         with pytest.raises(ContractError):
             AtomicSpectralMeasure.from_json({"atoms": [atom]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"type": "power", "c": "1", "s": 2.0}, {"type": "power", "c": 1.0, "s": None}, {"type": "constant", "alpha": True}],
+    )
+    def test_ratio_model_not_json_number_rejected(self, obj):
+        with pytest.raises(ContractError):
+            ratio_model_from_json(obj)
 
     def test_integral_float_dim_accepted(self):
         m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2.0}]})
