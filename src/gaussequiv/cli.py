@@ -177,10 +177,10 @@ def _run_mle(config: dict, outdir: Path, seed, args) -> None:
         **{k: tuple(v) for k, v in present.items()},
     )
     report = microergodic_experiment(exp_config)
-    report_to_csv(report, outdir / "consistency.csv")
     failed, attempted = sum(report.failed), report.replicates * len(report.n_grid)
     if failed > 0.2 * attempted:
         raise OptimizationFailedError(f"optimization failed for {failed} of {attempted} replicates")
+    report_to_csv(report, outdir / "consistency.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,15 @@
 Fitting is a derivative-free simplex search (Nelder-Mead) run from several
 deterministic starts.  Box constraints are enforced through a smooth
 unconstrained reparameterization: a sigmoid maps R to the box on the log
-scale of the parameters, so the box must be positive.  Singular
-Gram matrices encountered during the search return a large penalty value
-instead of raising, which keeps the objective total over the box.
+scale of the parameters, so the box must be positive.  A singular
+covariance met during the search returns ``PENALTY`` instead of raising,
+which keeps the objective total over the box.
 
-The likelihood of an exponential-kernel family is computed in O(n) without
-forming the Gram matrix: on sorted points of the line the exponential
-(Ornstein-Uhlenbeck) kernel is Markov, so the density factors into AR(1)
-innovations (``_markov._markov_nll``).  Every other kernel (Brownian,
-Schoenberg, ...) goes through the dense Gram matrix and its Cholesky
-factor, which also serves as the test oracle for the Markov path.
+The likelihood follows the Markov rule of ``j_divergence_trace``: for a
+Brownian or exponential kernel it sums O(n) AR(1) innovations on sorted
+points (``_markov._markov_nll``), with no Gram matrix.  Every other kernel
+goes through the dense Gram matrix and its Cholesky factor, which is also
+the test oracle of the Markov path.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -33,7 +32,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from ._csvio import write_csv
-from ._markov import PENALTY, _markov_nll
+from ._markov import MARKOV_KERNELS, _markov_nll
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
@@ -52,6 +51,9 @@ __all__ = [
     "microergodic_experiment",
     "report_to_csv",
 ]
+
+# the likelihood at a singular covariance, on the Markov and the dense path alike
+PENALTY = 1e10
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +92,13 @@ class LikelihoodProblem:
             raise ContractError("data length must match the design size")
 
     @cached_property
-    def _line_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Data in increasing point order and the increments between sorted points.
-
-        Meaningful only on a 1-D design; the points are distinct, so every
-        increment is positive.
+    def _line_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, t, dt, y)``: sorting permutation, sorted points, their
+        (positive) increments and the data in that order, on a 1-D design.
         """
-        t = self.design.coords[:, 0]
-        order = np.argsort(t)
-        return self.data[order], np.diff(t[order])
+        order = np.argsort(self.design.coords[:, 0])
+        t = self.design.coords[order, 0]
+        return order, t, np.diff(t), self.data[order]
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,20 @@ class MLEResult:
 def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     """Negative Gaussian log-likelihood of the data at parameter ``theta``.
 
-    A parameter at which the kernel matrix fails to factor yields the
-    penalty value ``PENALTY`` instead of an exception, so optimizers can
-    treat the objective as total.  An :class:`ExponentialKernel` is
-    evaluated by its O(n) Markov factorization, every other kernel through
-    the dense Gram matrix.
+    A singular covariance yields ``PENALTY`` instead of an exception, so
+    optimizers can treat the objective as total.  A Markov kernel (the rule
+    of ``j_divergence_trace``) is evaluated by its O(n) AR(1) form, every
+    other kernel through the dense Gram matrix.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     kernel = problem.family(theta)
-    if isinstance(kernel, ExponentialKernel):
-        require_geometry(kernel, problem.design)
-        return _markov_nll(kernel, *problem._line_order)
     try:
-        g = gram(kernel, problem.design)
+        if isinstance(kernel, MARKOV_KERNELS):
+            require_geometry(kernel, problem.design)
+            return _markov_nll(kernel, *problem._line_order)
+        return -gaussian_logpdf(gram(kernel, problem.design), problem.data)
     except SingularGramError:
         return PENALTY
-    return -gaussian_logpdf(g, problem.data)
 
 
 def _box_map(space: ParamSpace):

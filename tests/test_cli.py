@@ -374,7 +374,7 @@ class TestMle:
         monkeypatch.setattr(cli, "microergodic_experiment", lambda config: report)
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["x", "7", 7.9, -1])
     def test_invalid_seed_exit_code(self, tmp_path, seed):

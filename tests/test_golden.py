@@ -8,8 +8,9 @@ refactors must leave every digest as it is.  At these sizes the digests do
 not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
 
 The library pins at the end cover the package's public names, two
-generated arrays and the verdict rationale strings, which no CLI digest
-reaches byte for byte.
+generated arrays, the verdict rationale strings, three Markov J traces
+whose AR decays differ and the exponential-kernel likelihood, which no CLI
+digest reaches byte for byte.
 """
 
 import hashlib
@@ -20,12 +21,20 @@ import pytest
 
 import gaussequiv
 from gaussequiv import (
+    BrownianKernel,
+    Design,
     DivergenceTrace,
+    ExponentialKernel,
+    LikelihoodProblem,
     VerdictLabel,
     cli,
     dichotomy_diagnostic,
+    dyadic_interval_designs,
     dyadic_interval_points,
+    equispaced_interval_design,
     harmonic_dimensions,
+    j_divergence_trace,
+    neg_log_likelihood,
 )
 
 MEASURE1 = {"atoms": [{"label": "x1", "mass": 2.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
@@ -166,6 +175,41 @@ def test_harmonic_dimensions_digest():
     for d in range(3, 30):
         h.update(harmonic_dimensions(d, 500).tobytes())
     assert h.hexdigest() == "4570a774b2270a88e9d22d69e288bf38459d9f7baf8217208c8415a9b24fa79a"
+
+
+@pytest.mark.parametrize(
+    "k1, k2, digest",
+    [
+        (
+            ExponentialKernel(1.0, 2.0), ExponentialKernel(2.0**0.5, 1.0),
+            "78b238a7b40f85358ada97c67f2455829cc57962a495c2c6e4033fc17999d380",
+        ),
+        (
+            ExponentialKernel(1.0, 1.0), ExponentialKernel(1.0, 2.0),
+            "91773f5745ee42213b01514b6d1707e27f7e6a42e213153e921b2128a77ca117",
+        ),
+        (
+            ExponentialKernel(1.0, 1.0), BrownianKernel(1.0),
+            "bbfe7738bacf2960623b22df51b26ca275534ebdd3c715343ed3523d4069f23b",
+        ),
+    ],
+)
+def test_markov_trace_digest(k1, k2, digest):
+    # every pair has a nonzero AR decay term, which a Brownian pair lacks
+    values = j_divergence_trace(k1, k2, dyadic_interval_designs(2048, (0.0, 1.5))).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+def test_exponential_likelihood_digest():
+    rng = np.random.default_rng(13)
+    perm = rng.permutation(200)
+    design = Design.interval(equispaced_interval_design(200).coords[perm, 0])
+    family = lambda th: ExponentialKernel(float(th[0]), float(th[1]))
+    problem = LikelihoodProblem(family, design, rng.standard_normal(200))
+    thetas = [(1.0, 1.0), (0.5, 3.0), (2.0, 0.2), (0.05, 20.0), (20.0, 0.05)]
+    values = np.array([neg_log_likelihood(problem, theta) for theta in thetas])
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "5fe78bb39a0559f046304b23c9b908689a48ee9e97ee1410dd98fc68ee10577f"
 
 
 @pytest.mark.parametrize(

@@ -20,17 +20,23 @@ from gaussequiv import (
     equispaced_interval_design,
     fit_mle,
     gram,
+    j_divergence_trace,
     microergodic_experiment,
     neg_log_likelihood,
     report_to_csv,
     sample_paths,
 )
+from gaussequiv._markov import _markov_nll
 from gaussequiv.designs import sphere_sequence
 from gaussequiv.mle import PENALTY
 
 
 def exp_family(theta):
     return ExponentialKernel(sigma=float(theta[0]), beta=float(theta[1]))
+
+
+def brownian_family(theta):
+    return BrownianKernel(sigma=float(theta[0]))
 
 
 def simulate(n, sigma, beta, seed, domain=(0.0, 1.0)):
@@ -90,19 +96,50 @@ class TestNegLogLikelihood:
         with pytest.raises(ContractError, match=re.escape(str(from_gram.value))):
             neg_log_likelihood(problem, [1.0, 1.0])
 
-    def test_exponential_family_never_builds_a_gram(self, monkeypatch):
-        design, y = simulate(200, 1.0, 1.0, seed=21)
+    @pytest.mark.parametrize(
+        "family, p, domain",
+        [(exp_family, 2, (0.0, 1.0)), (brownian_family, 1, (0.1, 1.0))],
+        ids=["exponential", "brownian"],
+    )
+    def test_markov_family_never_builds_a_gram(self, monkeypatch, family, p, domain):
+        design, y = simulate(200, 1.0, 1.0, seed=21, domain=domain)
 
         def no_gram(*args, **kwargs):
-            raise AssertionError("dense Gram built on the exponential likelihood path")
+            raise AssertionError("dense Gram built on the Markov likelihood path")
 
         monkeypatch.setattr("gaussequiv.mle.gram", no_gram)
-        result = fit_mle(LikelihoodProblem(exp_family, design, y), ParamSpace([0.05, 0.05], [20.0, 20.0]))
+        result = fit_mle(LikelihoodProblem(family, design, y), ParamSpace([0.05] * p, [20.0] * p))
         assert np.all(np.isfinite(result.theta_hat))
 
+    def test_brownian_origin_penalized_with_the_trace_pivot(self):
+        # X(0) = 0 for Brownian motion: the likelihood is penalized and the
+        # trace raises at the pivot where dense dpotrf fails (design index 3)
+        design = Design.interval([0.5, 1.0, 0.25, 0.0, 0.75])
+        problem = LikelihoodProblem(brownian_family, design, np.ones(5))
+        assert neg_log_likelihood(problem, [1.0]) == PENALTY
+        with pytest.raises(SingularGramError) as likelihood:
+            _markov_nll(BrownianKernel(1.0), *problem._line_order)
+        with pytest.raises(SingularGramError) as dense:
+            gram(BrownianKernel(1.0), design)
+        with pytest.raises(SingularGramError) as trace:
+            j_divergence_trace(BrownianKernel(1.0), BrownianKernel(2.0), [design.prefix(m) for m in (4, 5)])
+        assert likelihood.value.pivot == trace.value.pivot == dense.value.pivot == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_brownian_overflow_rejected_like_gram(self):
+        # sigma^2 t overflows: the Markov likelihood refuses, as the dense Gram does
+        design = Design.interval([1e10, 2e10, 3e10])
+        problem = LikelihoodProblem(brownian_family, design, np.ones(3))
+        with pytest.raises(ContractError, match="finite"):
+            gram(brownian_family([1e150]), design)
+        with pytest.raises(ContractError, match="overflow"):
+            neg_log_likelihood(problem, [1e150])
+
     def test_other_kernels_use_the_dense_gram(self, monkeypatch):
-        design = equispaced_interval_design(5, (0.1, 1.0))
-        problem = LikelihoodProblem(lambda th: BrownianKernel(float(th[0])), design, np.ones(5))
+        # a Schoenberg family: every interval family of the package is Markov
+        design = Design.on_sphere(sphere_sequence(5, 3))
+        family = lambda th: SchoenbergKernel(SchoenbergSpectrum(3, np.array([float(th[0]), 1.0])))
+        problem = LikelihoodProblem(family, design, np.ones(5))
 
         class Reached(Exception):
             pass

@@ -1,5 +1,6 @@
 """Property tests for the paper's invariants and the library's exactness contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -174,23 +175,22 @@ def test_chow_sum_unit_dimensions_is_grenander_form(masses):
     assert result.final == pytest.approx(float(np.sum((1.0 - m1 / m2) ** 2)), rel=1e-12, abs=1e-300)
 
 
-def _exponential_family(theta):
-    return ExponentialKernel(float(theta[0]), float(theta[1]))
-
-
 @SETTINGS
-@given(st.integers(1, 300), box_param, box_param, st.integers(0, 2**32 - 1))
-def test_markov_likelihood_matches_dense_oracle(n, sigma, beta, seed):
+@given(st.integers(1, 300), markov_kernels(), st.integers(0, 2**32 - 1))
+def test_markov_likelihood_matches_dense_oracle(n, kernel, seed):
+    # points > 0, so that the Brownian covariance is nonsingular
     rng = np.random.default_rng(seed)
-    t = equispaced_interval_design(n).coords[:, 0]
+    t = equispaced_interval_design(n).coords[:, 0] + 0.05
     y = rng.standard_normal(n)
     perm = rng.permutation(n)
     shuffled = Design.interval(t[perm])
-    value = neg_log_likelihood(LikelihoodProblem(_exponential_family, shuffled, y[perm]), [sigma, beta])
-    dense = -gaussian_logpdf(gram(ExponentialKernel(sigma, beta), shuffled), y[perm])
+    family = lambda theta: type(kernel)(*map(float, theta))
+    theta = dataclasses.astuple(kernel)
+    value = neg_log_likelihood(LikelihoodProblem(family, shuffled, y[perm]), theta)
+    dense = -gaussian_logpdf(gram(kernel, shuffled), y[perm])
     assert abs(value - dense) <= MARKOV_RTOL * max(1.0, abs(dense))
-    ordered = LikelihoodProblem(_exponential_family, Design.interval(t), y)
-    assert neg_log_likelihood(ordered, [sigma, beta]) == value
+    ordered = LikelihoodProblem(family, Design.interval(t), y)
+    assert neg_log_likelihood(ordered, theta) == value
 
 
 @SETTINGS
