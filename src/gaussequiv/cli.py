@@ -1,7 +1,7 @@
 """Command-line front end: reproducible experiments from JSON configs.
 
-Every run reads a single JSON config, writes CSV/JSON outputs into the
-output directory and, once the run has succeeded, emits a ``manifest.json``
+Every run reads one JSON config and computes all its outputs; only then is
+the output directory created and the outputs written, ``manifest.json`` last,
 recording the subcommand, a digest of the config bytes, the effective seed,
 the tool version and a timestamp.  CSV outputs are byte-identical across
 repeated runs with the same config and seed on one platform and release.
@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -90,18 +91,18 @@ def _nested_designs_from_config(obj: dict) -> list[Design]:
     raise ContractError(f"unknown nested design type {kind!r}")
 
 
-def _write_criterion(result: CriterionResult, outdir: Path, index_name: str, extra: dict) -> None:
-    criterion_to_csv(result, outdir / "criterion.csv", index_name)
+def _criterion_outputs(result: CriterionResult, index_name: str, extra: dict) -> dict:
     verdict = {"verdict": result.verdict.value, "final": result.final, "tail_bound": result.tail_bound}
-    _write_json(outdir / "verdict.json", {**verdict, **extra})
+    writer = partial(criterion_to_csv, result, index_name=index_name)
+    return {"criterion.csv": writer, "verdict.json": {**verdict, **extra}}
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns {file name: JSON payload or CSV writer}
 # ---------------------------------------------------------------------------
 
 
-def _run_jdiv(config: dict, outdir: Path, seed, args) -> None:
+def _run_jdiv(config: dict, seed, args) -> dict:
     k1 = kernel_from_json(config["kernel1"])
     k2 = kernel_from_json(config["kernel2"])
     designs = _nested_designs_from_config(config["designs"])
@@ -109,11 +110,10 @@ def _run_jdiv(config: dict, outdir: Path, seed, args) -> None:
         raise ContractError("jdiv needs at least 4 nested designs for the verdict rule")
     trace = j_divergence_trace(k1, k2, designs)
     verdict = dichotomy_diagnostic(trace)
-    trace_to_csv(trace, outdir / "trace.csv")
-    _write_json(outdir / "verdict.json", trace_to_json(trace, verdict))
+    return {"trace.csv": partial(trace_to_csv, trace), "verdict.json": trace_to_json(trace, verdict)}
 
 
-def _run_sphere(config: dict, outdir: Path, seed, args) -> None:
+def _run_sphere(config: dict, seed, args) -> dict:
     d = _integer(config["sphere_dim"], "sphere_dim")
     last_k = _integer(config["K"], "K")
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
@@ -125,10 +125,10 @@ def _run_sphere(config: dict, outdir: Path, seed, args) -> None:
     else:
         raise ContractError("config must provide explicit spectra or a ratio_model")
     result = sphere_equivalence_sum(s1, s2, last_k, tail_model=model)
-    _write_criterion(result, outdir, "k", {"sphere_dim": d, "K": last_k})
+    return _criterion_outputs(result, "k", {"sphere_dim": d, "K": last_k})
 
 
-def _run_chow(config: dict, outdir: Path, seed, args) -> None:
+def _run_chow(config: dict, seed, args) -> dict:
     base = Path(args.config).resolve().parent
     m1 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure1"]).read_text()))
     m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
@@ -136,22 +136,16 @@ def _run_chow(config: dict, outdir: Path, seed, args) -> None:
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     bound = _number(config["weight_bound"], "weight_bound") if "weight_bound" in config else None
     result = chow_sum(m1, m2, n_atoms, tail_model=model, tail_weight_bound=bound)
-    _write_criterion(result, outdir, "n", {"N": n_atoms})
+    return _criterion_outputs(result, "n", {"N": n_atoms})
 
 
-def _run_sample(config: dict, outdir: Path, seed, args) -> None:
+def _run_sample(config: dict, seed, args) -> dict:
     kernel = kernel_from_json(config["kernel"])
     design = _design_from_config(config["design"])
     m = _integer(config["replicates"], "replicates")
     batch = sample_paths(gram(kernel, design), m, seed)
-    batch_to_csv(batch, outdir / "samples.csv")
-    sidecar = {
-        "seed": batch.seed,
-        "kernel": config["kernel"],
-        "design": design.to_json(),
-        "replicates": m,
-    }
-    _write_json(outdir / "sample_meta.json", sidecar)
+    meta = {"seed": batch.seed, "kernel": config["kernel"], "design": design.to_json(), "replicates": m}
+    return {"samples.csv": partial(batch_to_csv, batch), "sample_meta.json": meta}
 
 
 def _optimizer_from_config(obj: dict) -> OptimizerConfig:
@@ -163,7 +157,7 @@ def _optimizer_from_config(obj: dict) -> OptimizerConfig:
     return OptimizerConfig(**{k: read[k](v, k) for k, v in obj.items()})
 
 
-def _run_mle(config: dict, outdir: Path, seed, args) -> None:
+def _run_mle(config: dict, seed, args) -> dict:
     present = {
         k: _number(config[k], k, array=True).tolist() for k in ("theta0", "domain", "box") if k in config
     }
@@ -180,7 +174,7 @@ def _run_mle(config: dict, outdir: Path, seed, args) -> None:
     failed, attempted = sum(report.failed), report.replicates * len(report.n_grid)
     if failed > 0.2 * attempted:
         raise OptimizationFailedError(f"optimization failed for {failed} of {attempted} replicates")
-    report_to_csv(report, outdir / "consistency.csv")
+    return {"consistency.csv": partial(report_to_csv, report)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +266,21 @@ def main(argv=None) -> int:
             raise ContractError(f"seed must be >= 0, not {seed}")
         if seed is None and args.subcommand in ("sample", "mle"):
             raise ContractError(f"{args.subcommand} requires a seed (config key 'seed' or --seed)")
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        args.handler(config, outdir, seed, args)
-        manifest = {
+        outputs = args.handler(config, seed, args)
+        outputs["manifest.json"] = {
             "subcommand": args.subcommand,
             "config_digest": hashlib.sha256(config_bytes).hexdigest(),
             "seed": seed,
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        _write_json(outdir / "manifest.json", manifest)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, output in outputs.items():
+            if isinstance(output, dict):
+                _write_json(outdir / name, output)
+            else:
+                output(outdir / name)
         return EXIT_OK
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", EXIT_CONFIG)

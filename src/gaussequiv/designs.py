@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ContractError
-from .kernels import Design, _number
+from .kernels import Design, _integer, _number
 
 __all__ = [
     "dyadic_interval_points",
@@ -63,6 +63,7 @@ def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.
     each level appending the new odd multiples.  Excluding the left endpoint
     keeps Brownian Gram matrices nonsingular.
     """
+    max_size = _integer(max_size, "max_size")
     if max_size < 2 or max_size & (max_size - 1):
         raise ContractError("dyadic design size must be a power of two, >= 2")
     a, b = _interval(domain)
@@ -73,12 +74,13 @@ def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.
 def dyadic_interval_designs(max_size: int, domain: tuple[float, float] = (0.0, 1.0)) -> list[Design]:
     """Nested designs of sizes 2, 4, ..., max_size on a dyadic grid."""
     pts = dyadic_interval_points(max_size, domain)
-    sizes = [2**l for l in range(1, max_size.bit_length())]
+    sizes = [2**l for l in range(1, len(pts).bit_length())]
     return [Design.interval(pts[:n]) for n in sizes]
 
 
 def equispaced_interval_design(n: int, domain: tuple[float, float] = (0.0, 1.0)) -> Design:
     """n equispaced points spanning [a, b], endpoints included."""
+    n = _integer(n, "n")
     if n < 1:
         raise ContractError("design size must be >= 1")
     a, b = _interval(domain)
@@ -93,6 +95,7 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
     other d, a Halton sequence is pushed through the inverse normal CDF and
     normalized, which is quasi-uniform on the sphere for any dimension.
     """
+    n, sphere_dim = _integer(n, "n"), _integer(sphere_dim, "sphere_dim")
     if n < 1:
         raise ContractError("need at least one point")
     if sphere_dim < 2:
@@ -108,7 +111,7 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
 
 def fibonacci_sphere_designs(sizes: Sequence[int], sphere_dim: int = 3) -> list[Design]:
     """Nested sphere designs cut as prefixes of one quasi-uniform sequence."""
-    sizes = [int(s) for s in sizes]
+    sizes = [_integer(s, "sizes") for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ContractError("sizes must be positive")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -459,16 +459,21 @@ def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
     return _factor(np.array(entries, dtype=float))
 
 
+def _require_symmetric(a: np.ndarray, what: str) -> None:
+    """Raise ContractError unless ``a`` is finite and symmetric to ``SYMMETRY_RTOL * max(1, max|a|)``."""
+    # np.max propagates NaN, and a comparison with NaN is False
+    largest = float(np.max(np.abs(a)))
+    if not math.isfinite(largest):
+        raise ContractError(f"{what} must be finite")
+    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(1.0, largest):
+        raise ContractError(f"{what} must be symmetric")
+
+
 def _factor(a: np.ndarray) -> GramMatrix:
     """Check and factor the float matrix ``a``; the result takes ``a`` over as ``entries``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("Gram entries must form a square matrix")
-    # np.max propagates NaN, and a comparison with NaN is False
-    largest = float(np.max(np.abs(a)))
-    if not math.isfinite(largest):
-        raise ContractError("Gram entries must be finite")
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(1.0, largest):
-        raise ContractError("Gram entries must be symmetric")
+    _require_symmetric(a, "Gram entries")
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info != 0:
         raise SingularGramError(pivot=int(info) - 1)

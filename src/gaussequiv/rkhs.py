@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .kernels import Design, GramMatrix
+from .kernels import Design, GramMatrix, _require_symmetric
 
 __all__ = [
     "FiniteFunction",
@@ -21,9 +21,6 @@ __all__ = [
     "reproducing_check",
     "tensor_norm_finite",
 ]
-
-TENSOR_SYMMETRY_ATOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteFunction:
@@ -54,8 +51,8 @@ def rkhs_inner(g: GramMatrix, v, w) -> float:
 
 def rkhs_norm(g: GramMatrix, f: FiniteFunction) -> float:
     """RKHS norm of a finite function, ``sqrt(f' R(n)^{-1} f)``."""
-    sq = rkhs_inner(g, f.values, f.values)
-    return float(np.sqrt(max(sq, 0.0)))
+    a = g.half_solve(_check_vector(g, f.values))
+    return float(np.sqrt(a @ a))
 
 
 def reproducing_check(g: GramMatrix, f: FiniteFunction, i: int) -> float:
@@ -84,8 +81,7 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
     d = np.asarray(diff, dtype=float)
     if d.shape != (g1.n, g1.n):
         raise ContractError("difference matrix shape must match the Gram size")
-    if float(np.max(np.abs(d - d.T))) > TENSOR_SYMMETRY_ATOL:
-        raise ContractError("difference matrix must be symmetric")
+    _require_symmetric(d, "difference matrix")
     m = g1.half_solve(d)
     w = g1.half_solve(m.T)
     return float(np.sum(w * w))

@@ -27,6 +27,14 @@ JDIV_BROWNIAN = {
 }
 
 
+def failing_experiment(config):
+    """A stand-in for ``microergodic_experiment``: 15 of 40 fits failed."""
+    ones = np.array([1.0, 1.0])
+    return ConsistencyReport(
+        n_grid=(6, 10), rmse_sigma2=ones, rmse_beta=ones, rmse_microergodic=ones, failed=(10, 5), replicates=20, seed=5
+    )
+
+
 class TestJdiv:
     def test_brownian_scaling_orthogonal(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", JDIV_BROWNIAN)
@@ -362,19 +370,10 @@ class TestMle:
         assert len(lines) == 3
 
     def test_failure_rate_exit_code(self, tmp_path, monkeypatch):
-        report = ConsistencyReport(
-            n_grid=(6, 10),
-            rmse_sigma2=np.array([1.0, 1.0]),
-            rmse_beta=np.array([1.0, 1.0]),
-            rmse_microergodic=np.array([1.0, 1.0]),
-            failed=(10, 5),
-            replicates=20,
-            seed=5,
-        )
-        monkeypatch.setattr(cli, "microergodic_experiment", lambda config: report)
+        monkeypatch.setattr(cli, "microergodic_experiment", failing_experiment)
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 5
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["x", "7", 7.9, -1])
     def test_invalid_seed_exit_code(self, tmp_path, seed):
@@ -572,3 +571,48 @@ class TestJsonTypes:
             outs.append(tmp_path / f"out{len(outs)}")
             assert run(["sample", "--config", write_config(tmp_path, "cfg.json", config), "--out", outs[-1]]) == 0
         assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()
+
+
+class TestFailedRunWritesNothing:
+    """Every failure inside a subcommand exits before ``--out`` is created or touched."""
+
+    RUNS = {
+        "chow-label-mismatch": ("chow", {"measure1": "m1.json", "measure2": "zz.json", "N": 1}, 4),
+        "sphere-support-mismatch": (
+            "sphere", {"sphere_dim": 3, "K": 2, "spectrum1": [1.0, 1.0, 1.0], "spectrum2": [1.0, 1.0, 0.0]}, 4
+        ),
+        "jdiv-three-designs": ("jdiv", dict(JDIV_BROWNIAN, designs={"type": "dyadic_interval", "max_n": 8}), 2),
+        "sample-brownian-origin": (
+            "sample",
+            dict(
+                TestSample.CONFIG,
+                kernel={"variant": "brownian", "sigma": 1.0},
+                design={"type": "explicit", "geometry": {"kind": "euclidean", "dim": 1}, "points": [0.0, 0.5, 1.0]},
+            ),
+            3,
+        ),
+        "mle-failure-rate": ("mle", TestMle.CONFIG, 5),
+    }
+
+    def _run(self, tmp_path, monkeypatch, case, out):
+        sub, config, code = self.RUNS[case]
+        TestChow()._measures(tmp_path)
+        (tmp_path / "zz.json").write_text(json.dumps({"atoms": [{"label": "zz", "mass": 1.0, "dim": 1}]}))
+        monkeypatch.setattr(cli, "microergodic_experiment", failing_experiment)
+        assert run([sub, "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == code
+
+    @pytest.mark.parametrize("case", RUNS)
+    def test_no_out_created(self, tmp_path, monkeypatch, case):
+        out = tmp_path / "out"
+        self._run(tmp_path, monkeypatch, case, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", RUNS)
+    def test_existing_out_untouched(self, tmp_path, monkeypatch, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        before = {"manifest.json": "{}\n", "trace.csv": "old\n", "criterion.csv": "old\n", "samples.csv": "old\n"}
+        for name, text in before.items():
+            (out / name).write_text(text)
+        self._run(tmp_path, monkeypatch, case, out)
+        assert {p.name: p.read_text() for p in out.iterdir()} == before

@@ -136,6 +136,21 @@ class TestSphereSequence:
         with pytest.raises(ContractError):
             fibonacci_sphere_designs([40, 40])
 
+    def test_fractional_counts_rejected(self):
+        # the CLI's integer rule: 4.5 is not 4 or 5 points
+        with pytest.raises(ContractError, match="n must be an integer"):
+            sphere_sequence(4.5)
+        with pytest.raises(ContractError, match="sizes must be an integer"):
+            fibonacci_sphere_designs([10.7, 20])
+        with pytest.raises(ContractError, match="sphere_dim must be an integer"):
+            sphere_sequence(10, 3.5)
+
+    def test_integral_float_counts_read_as_integers(self):
+        assert sphere_sequence(16.0).tobytes() == sphere_sequence(16).tobytes()
+        assert sphere_sequence(16, 4.0).tobytes() == sphere_sequence(16, 4).tobytes()
+        floats, ints = fibonacci_sphere_designs([10.0, 20.0]), fibonacci_sphere_designs([10, 20])
+        assert [d.coords.tobytes() for d in floats] == [d.coords.tobytes() for d in ints]
+
 
 class TestEquispaced:
     def test_endpoints_included(self):
@@ -145,6 +160,14 @@ class TestEquispaced:
     def test_bad_domain(self):
         with pytest.raises(ContractError):
             equispaced_interval_design(5, (1.0, 1.0))
+
+    def test_integer_rule_for_interval_counts(self):
+        with pytest.raises(ContractError, match="n must be an integer"):
+            equispaced_interval_design(5.5)
+        with pytest.raises(ContractError, match="max_size must be an integer"):
+            dyadic_interval_points(16.5)
+        assert equispaced_interval_design(5.0).coords.tobytes() == equispaced_interval_design(5).coords.tobytes()
+        assert [len(d) for d in dyadic_interval_designs(16.0)] == [2, 4, 8, 16]
 
     @pytest.mark.parametrize("domain", [(0.0,), (0.0, 1.0, 5.0), (float("nan"), 1.0), None])
     def test_rejects_domain_other_than_two_increasing_numbers(self, domain):

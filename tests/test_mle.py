@@ -275,6 +275,16 @@ class TestMicroergodicExperiment:
         report_to_csv(report, path)
         assert path.read_text().splitlines()[2] == "12,nan,nan,nan,20"
 
+    def test_fractional_seed_rejected_before_any_fit(self, monkeypatch):
+        # derive_seed rejects the seed before the first fit
+        def no_fit(*args):
+            raise AssertionError("fit_mle called")
+
+        monkeypatch.setattr("gaussequiv.mle.fit_mle", no_fit)
+        config = ExperimentConfig(n_grid=(8, 12), replicates=20, seed=7.5)
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            microergodic_experiment(config)
+
     def test_workers_other_than_one_rejected(self):
         ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, workers=1)
         with pytest.raises(ContractError, match="workers must be 1"):

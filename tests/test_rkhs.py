@@ -72,6 +72,11 @@ class TestRkhsInner:
 
 
 class TestRkhsNorm:
+    def test_one_solve_equals_inner_product(self, rng):
+        g = gram_from_matrix(make_spd(rng, 7))
+        f = FiniteFunction(Design.interval(np.linspace(0.1, 1.0, 7)), rng.standard_normal(7))
+        assert rkhs_norm(g, f) == np.sqrt(rkhs_inner(g, f.values, f.values))
+
     def test_zero_function(self):
         d = Design.interval([0.5, 1.0])
         g = gram(BrownianKernel(sigma=1.0), d)
@@ -137,6 +142,20 @@ class TestTensorNormFinite:
         d = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ContractError):
             tensor_norm_finite(g, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        g = gram_from_matrix(make_spd(rng, 2))
+        with pytest.raises(ContractError, match="difference matrix must be finite"):
+            tensor_norm_finite(g, np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_symmetry_relative_to_scale_as_for_grams(self):
+        # a one-ulp asymmetry at scale 1e6 (1.16e-10) is within 1e-12 relative, as for gram_from_matrix
+        a = 1e6 * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        a[0, 1] = np.nextafter(a[1, 0], np.inf)
+        assert 1e-10 < a[0, 1] - a[1, 0] < 1e-9
+        g = gram_from_matrix(a)
+        assert tensor_norm_finite(g, a) == pytest.approx(3.0, rel=1e-9)
 
     def test_nesting_monotone_interval(self):
         k1 = ExponentialKernel(sigma=1.0, beta=1.0)

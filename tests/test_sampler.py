@@ -49,6 +49,17 @@ class TestSamplePaths:
         with pytest.raises(ContractError):
             sample_paths(gram_from_matrix(np.eye(2)), 0, 1)
 
+    def test_fractional_seed_rejected(self):
+        # not read as the seed 7
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            sample_paths(gram_from_matrix(np.eye(2)), 3, 7.9)
+
+    def test_integral_float_seed_and_count(self):
+        g = gram_from_matrix(np.eye(2))
+        batch = sample_paths(g, 3.0, 7.0)
+        assert batch.samples.tobytes() == sample_paths(g, 3, 7).samples.tobytes()
+        assert type(batch.seed) is int and batch.seed == 7
+
 
 class TestEmpiricalCovariance:
     def test_zero_batch(self):
@@ -91,6 +102,12 @@ class TestSeedDerivation:
         assert derive_seed(7, 50) == derive_seed(7, 50)
         assert derive_seed(7, 50) != derive_seed(7, 100)
         assert derive_seed(7, 50) != derive_seed(8, 50)
+
+    def test_integer_rule(self):
+        assert derive_seed(7.0, 50.0) == derive_seed(7, 50)
+        for base, part in [(7.9, 50), (7, 50.5)]:
+            with pytest.raises(ContractError, match="must be an integer"):
+                derive_seed(base, part)
 
 
 class TestCsvExport:
