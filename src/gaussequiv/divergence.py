@@ -203,17 +203,15 @@ def trace_to_csv(trace: DivergenceTrace, path) -> None:
     write_csv(path, ["n", "J", "slope_estimate"], rows)
 
 
-def trace_to_json(trace: DivergenceTrace, verdict: DichotomyVerdict | None = None) -> dict:
-    """JSON-ready record of the trace, optionally with its verdict."""
-    out: dict = {
+def trace_to_json(trace: DivergenceTrace, verdict: DichotomyVerdict) -> dict:
+    """JSON-ready record of the trace with its verdict."""
+    return {
         "sizes": list(trace.sizes),
         "values": [float(v) for v in trace.values],
         "slope_estimate": trace.slope_estimate,
-    }
-    if verdict is not None:
-        out["verdict"] = {
+        "verdict": {
             "label": verdict.label.value,
             "statistic": verdict.statistic,
             "rationale": verdict.rationale,
-        }
-    return out
+        },
+    }

@@ -53,6 +53,32 @@ SYMMETRY_RTOL = 1e-12
 _BLOCK_ENTRIES = 1 << 14
 
 
+def _number(value, key: str, array: bool = False):
+    """A JSON number as a float; with ``array``, JSON numbers nested in lists
+    as a float ndarray whose shape the caller checks.
+
+    ``bool``, ``str`` and ``null`` are not numbers, although ``float()`` and
+    numpy read all three.  The leaf types are tested as one set, so a long
+    list costs no Python call per entry.
+    """
+    leaves = np.array(value, dtype=object)
+    types = set(map(type, leaves.flat))
+    if bool in types or not all(issubclass(t, Real) for t in types) or (leaves.ndim and not array):
+        what = "an array of JSON numbers" if array else "a JSON number"
+        raise ContractError(f"{key} must be {what}, not {reprlib.repr(value)}")
+    try:
+        return leaves.astype(float) if array else float(value)
+    except OverflowError:
+        raise ContractError(f"{key} is too large for a float") from None
+
+
+def _integer(value, key: str) -> int:
+    """A count as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
+    if not _number(value, key).is_integer():
+        raise ContractError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Domain of a design: Euclidean space R^dim or the sphere S^{dim-1} in R^dim."""
@@ -61,6 +87,7 @@ class Geometry:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.kind not in ("euclidean", "sphere"):
             raise ContractError(f"unknown geometry kind {self.kind!r}")
         if self.dim < 1:
@@ -159,7 +186,7 @@ class Design:
 
     @staticmethod
     def from_json(obj: dict) -> "Design":
-        geom = Geometry(obj["geometry"]["kind"], _integer(obj["geometry"]["dim"], "dim"))
+        geom = Geometry(obj["geometry"]["kind"], obj["geometry"]["dim"])
         return Design(_number(obj["points"], "points", array=True), geom)
 
 
@@ -265,6 +292,7 @@ class SchoenbergSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "sphere_dim", _integer(self.sphere_dim, "sphere_dim"))
         if self.sphere_dim < 3:
             raise ContractError("Schoenberg spectrum requires sphere_dim >= 3")
         coeffs = np.array(np.atleast_1d(self.coeffs), dtype=float)
@@ -513,32 +541,6 @@ def eval_kernel(kernel: CovarianceKernel, s, t) -> float:
 # ---------------------------------------------------------------------------
 # JSON descriptions
 # ---------------------------------------------------------------------------
-
-
-def _number(value, key: str, array: bool = False):
-    """A JSON number as a float; with ``array``, JSON numbers nested in lists
-    as a float ndarray whose shape the caller checks.
-
-    ``bool``, ``str`` and ``null`` are not numbers, although ``float()`` and
-    numpy read all three.  The leaf types are tested as one set, so a long
-    list costs no Python call per entry.
-    """
-    leaves = np.array(value, dtype=object)
-    types = set(map(type, leaves.flat))
-    if bool in types or not all(issubclass(t, Real) for t in types) or (leaves.ndim and not array):
-        what = "an array of JSON numbers" if array else "a JSON number"
-        raise ContractError(f"{key} must be {what}, not {reprlib.repr(value)}")
-    try:
-        return leaves.astype(float) if array else float(value)
-    except OverflowError:
-        raise ContractError(f"{key} is too large for a float") from None
-
-
-def _integer(value, key: str) -> int:
-    """A JSON count as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
-    if not _number(value, key).is_integer():
-        raise ContractError(f"{key} must be an integer, not {value!r}")
-    return int(value)
 
 
 def kernel_from_json(obj: dict) -> CovarianceKernel:

@@ -36,6 +36,7 @@ from ._markov import MARKOV_KERNELS, _markov_nll
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
+from .kernels import _integer, _number
 from .designs import _halton, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
@@ -108,7 +109,9 @@ class OptimizerConfig:
     ``starts`` points are used: the box center plus quasi-random points from
     an unscrambled Halton sequence (all deterministic).  Each start stops
     when the simplex diameter falls below ``tol_x`` (with function spread
-    below ``tol_f``) or after ``max_evals`` objective evaluations.
+    below ``tol_f``) or after ``max_evals`` objective evaluations.  The two
+    counts are integers (``2.0`` is read as 2; ``2.5`` and ``True`` raise
+    :class:`ContractError`) and the two tolerances numbers.
     """
 
     starts: int = 5
@@ -117,6 +120,10 @@ class OptimizerConfig:
     max_evals: int = 2000
 
     def __post_init__(self):
+        for name in ("starts", "max_evals"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("tol_x", "tol_f"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if self.starts < 1:
             raise ContractError("need at least one start")
         if self.max_evals < 1:
@@ -137,7 +144,6 @@ class MLEResult:
     theta_hat: np.ndarray
     loglik: float
     evaluations: int
-    starts: int
     penalized_evaluations: int = 0
     maxfev_starts: int = 0
 
@@ -184,40 +190,27 @@ def fit_mle(
     singularity penalty.
     """
     to_theta = _box_map(space)
-    counter = {"evals": 0, "penalized": 0}
+    penalized = 0
 
     def objective(u: np.ndarray) -> float:
-        counter["evals"] += 1
+        nonlocal penalized
         val = neg_log_likelihood(problem, to_theta(u))
         if val >= PENALTY:
-            counter["penalized"] += 1
+            penalized += 1
         return val
 
-    best = None
-    maxfev_starts = 0
-    for u0 in _start_points(space, config.starts):
-        res = minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={
-                "xatol": config.tol_x,
-                "fatol": config.tol_f,
-                "maxfev": config.max_evals,
-            },
-        )
-        maxfev_starts += int(res.status == 1)
-        if best is None or res.fun < best.fun:
-            best = res
+    options = {"xatol": config.tol_x, "fatol": config.tol_f, "maxfev": config.max_evals}
+    starts = _start_points(space, config.starts)
+    runs = [minimize(objective, u0, method="Nelder-Mead", options=options) for u0 in starts]
+    best = min(runs, key=lambda res: res.fun)
     if best.fun >= PENALTY:
         raise OptimizationFailedError("all starts terminated on the singularity penalty")
     return MLEResult(
         theta_hat=to_theta(best.x),
         loglik=-float(best.fun),
-        evaluations=counter["evals"],
-        starts=config.starts,
-        penalized_evaluations=counter["penalized"],
-        maxfev_starts=maxfev_starts,
+        evaluations=sum(res.nfev for res in runs),
+        penalized_evaluations=penalized,
+        maxfev_starts=sum(res.status == 1 for res in runs),
     )
 
 
@@ -242,6 +235,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n_grid", tuple(_integer(n, "n_grid") for n in self.n_grid))
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         if len(self.n_grid) < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n_grid must be strictly increasing")
         if self.replicates < 20:
@@ -302,7 +297,7 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
         rows.append([_rmse(s2 - sigma0**2), _rmse(b - beta0), _rmse(s2 * b - sigma0**2 * beta0)])
     rmse_s2, rmse_b, rmse_m = np.array(rows).T
     return ConsistencyReport(
-        n_grid=tuple(config.n_grid),
+        n_grid=config.n_grid,
         rmse_sigma2=rmse_s2,
         rmse_beta=rmse_b,
         rmse_microergodic=rmse_m,

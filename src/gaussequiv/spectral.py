@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import AtomMismatchError, ContractError
-from .kernels import SchoenbergSpectrum, _number, harmonic_dimensions
+from .kernels import SchoenbergSpectrum, _integer, _number, harmonic_dimensions
 
 __all__ = [
     "Verdict",
@@ -65,16 +65,18 @@ class CriterionResult:
 
 @dataclass(frozen=True, eq=False)
 class AtomicSpectralMeasure:
-    """Purely atomic spectral measure: labeled atoms with masses and dimensions."""
+    """Purely atomic spectral measure: string labels, numeric masses and dimensions, none coerced."""
 
     labels: tuple[str, ...]
     masses: np.ndarray
     dims: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        dims = np.atleast_1d(np.asarray(self.dims, dtype=float))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if not all(issubclass(t, str) for t in set(map(type, self.labels))):
+            raise ContractError("atom labels must be JSON strings")
+        masses = np.atleast_1d(_number(self.masses, "mass", array=True))
+        dims = np.atleast_1d(_number(self.dims, "dim", array=True))
         if not masses.shape == dims.shape == (len(self.labels),):
             raise ContractError("masses and dims must be 1-D with one entry per label")
         if len(set(self.labels)) != len(self.labels):
@@ -96,13 +98,10 @@ class AtomicSpectralMeasure:
             atoms = obj["atoms"]
         except (TypeError, KeyError):
             raise ContractError("measure description must contain an 'atoms' list")
-        labels = [a["label"] for a in atoms]
-        if not set(map(type, labels)) <= {str}:
-            raise ContractError("atom labels must be JSON strings")
         return AtomicSpectralMeasure(
-            labels=labels,
-            masses=_number([a["mass"] for a in atoms], "mass", array=True),
-            dims=_number([a["dim"] for a in atoms], "dim", array=True),
+            labels=[a["label"] for a in atoms],
+            masses=[a["mass"] for a in atoms],
+            dims=[a["dim"] for a in atoms],
         )
 
     def to_json(self) -> dict:
@@ -203,7 +202,8 @@ def ratio_model_from_json(obj: dict) -> RatioModel:
 def spectra_from_ratio_model(
     model: RatioModel, sphere_dim: int, last_k: int
 ) -> tuple[SchoenbergSpectrum, SchoenbergSpectrum]:
-    """Spectra (a1, a2) with a2 = 1 and a1 = ratio(k), for degrees 0..last_k."""
+    """Spectra (a1, a2) with a2 = 1 and a1 = ratio(k), for degrees 0..K = ``last_k``."""
+    last_k = _integer(last_k, "K")
     ks = np.arange(last_k + 1)
     a2 = np.ones(last_k + 1)
     a1 = model.ratio(ks)
@@ -246,7 +246,7 @@ def sphere_equivalence_sum(
     last_k: int,
     tail_model: RatioModel | None = None,
 ) -> CriterionResult:
-    """Weighted criterion sum ``sum_{k<=K} h(k) (1 - a1(k)/a2(k))^2``.
+    """Weighted criterion sum ``sum_{k<=K} h(k) (1 - a1(k)/a2(k))^2``, K = ``last_k``.
 
     Degrees absent from both spectra contribute zero; a degree present in
     exactly one raises :class:`AtomMismatchError`, since distinct supports
@@ -257,8 +257,9 @@ def sphere_equivalence_sum(
     """
     if s1.sphere_dim != s2.sphere_dim:
         raise ContractError("spectra must share the sphere dimension")
+    last_k = _integer(last_k, "K")
     if last_k < 0:
-        raise ContractError("last_k must be nonnegative")
+        raise ContractError("K must be nonnegative")
     a1 = _pad(s1.coeffs, last_k + 1)
     a2 = _pad(s2.coeffs, last_k + 1)
     only_one = (a1 > 0) != (a2 > 0)
@@ -279,7 +280,7 @@ def chow_sum(
     tail_model: RatioModel | None = None,
     tail_weight_bound: float | None = None,
 ) -> CriterionResult:
-    """Dimension-weighted atom sum ``sum_{n<=N} d(a_n) (1 - m1/m2)^2``.
+    """Dimension-weighted atom sum ``sum_{n<=N} d(a_n) (1 - m1/m2)^2``, N = ``n_atoms``.
 
     The first ``n_atoms`` atoms of both measures must align label by label;
     any mismatch raises :class:`AtomMismatchError`.  With every dimension
@@ -288,10 +289,11 @@ def chow_sum(
     dimensions beyond ``n_atoms`` by ``tail_weight_bound`` (finite, >= 1;
     default the largest dimension summed).
     """
+    n_atoms = _integer(n_atoms, "N")
     if n_atoms < 1:
-        raise ContractError("n_atoms must be >= 1")
+        raise ContractError("N must be >= 1")
     if len(m1) < n_atoms or len(m2) < n_atoms:
-        raise ContractError("both measures must list at least n_atoms atoms")
+        raise ContractError("both measures must list at least N atoms")
     for i in range(n_atoms):
         if m1.labels[i] != m2.labels[i]:
             raise AtomMismatchError(

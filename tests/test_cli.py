@@ -99,6 +99,19 @@ class TestJdiv:
         assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_j_exit_code(self, tmp_path, capsys):
+        # finite variances whose J overflows: max_n 16 gives the verdict rule its 4 designs
+        config = {
+            "kernel1": {"variant": "exponential", "sigma": 1e150, "beta": 1.0},
+            "kernel2": {"variant": "exponential", "sigma": 1e-150, "beta": 1.0},
+            "designs": {"type": "dyadic_interval", "max_n": 16},
+        }
+        out = tmp_path / "out"
+        assert run(["jdiv", "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 2
+        assert "kernel variances overflow on this design" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_sigma_exit_code(self, tmp_path):
         config = dict(JDIV_BROWNIAN, kernel2={"variant": "brownian", "sigma": float("inf")})
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -174,6 +187,14 @@ class TestSphere:
         )
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 4
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_constant_ratio_generates_spectra(self, tmp_path):
+        config = {"sphere_dim": 3, "K": 5, "ratio_model": {"type": "constant", "alpha": 2.0}}
+        out = tmp_path / "out"
+        assert run(["sphere", "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        # h(k) (1 - 2)^2 summed over k <= 5: 1 + 3 + 5 + 7 + 9 + 11
+        assert verdict == {"verdict": "Divergent", "final": 36.0, "tail_bound": None, "sphere_dim": 3, "K": 5}
 
     @pytest.mark.parametrize("last_k, code", [(2.9, 2), (2.0, 0)])
     def test_integer_key_not_truncated(self, tmp_path, capsys, last_k, code):
@@ -300,6 +321,18 @@ class TestSample:
         assert meta["seed"] == 42
         assert meta["kernel"]["variant"] == "exponential"
         assert len(meta["design"]["points"]) == 6
+
+    def test_fibonacci_sphere_design(self, tmp_path):
+        config = dict(self.CONFIG, design={"type": "fibonacci_sphere", "n": 12, "sphere_dim": 3})
+        config["kernel"] = {"variant": "schoenberg", "d": 3, "coeffs": [1.0, 0.5, 0.25, 0.125]}
+        out = tmp_path / "out"
+        assert run(["sample", "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 0
+        samples = np.loadtxt(out / "samples.csv", delimiter=",", ndmin=2)
+        assert samples.shape == (5, 12)
+        meta = json.loads((out / "sample_meta.json").read_text())
+        assert meta["design"]["geometry"] == {"kind": "sphere", "dim": 3}
+        assert meta["replicates"] == 5
+        np.testing.assert_allclose(np.linalg.norm(meta["design"]["points"], axis=1), 1.0, atol=1e-12)
 
     def test_infinite_sigma_exit_code(self, tmp_path):
         config = dict(self.CONFIG, kernel={"variant": "brownian", "sigma": float("inf")})
@@ -571,6 +604,49 @@ class TestJsonTypes:
             outs.append(tmp_path / f"out{len(outs)}")
             assert run(["sample", "--config", write_config(tmp_path, "cfg.json", config), "--out", outs[-1]]) == 0
         assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()
+
+
+class TestIntegralFloatCounts:
+    """A count written as an integral float (2.0) writes the bytes of the integer count (2)."""
+
+    SCHOENBERG = {"variant": "schoenberg", "d": 3, "coeffs": [1.0, 0.5, 0.25]}
+    RUNS = {
+        "sphere": TestJsonTypes.BASE["sphere"],
+        "sphere-ratio": {"sphere_dim": 3, "K": 5, "ratio_model": {"type": "power", "c": 1.0, "s": 2.0}},
+        "chow": TestJsonTypes.BASE["chow"],
+        "sample": TestSample.CONFIG,
+        "sample-dyadic": dict(TestSample.CONFIG, design={"type": "dyadic_interval", "n": 8}),
+        "jdiv-sphere": {
+            "kernel1": SCHOENBERG,
+            "kernel2": dict(SCHOENBERG, coeffs=[1.0, 0.5, 0.5]),
+            "designs": {"type": "fibonacci_sphere", "sizes": [2, 4, 6, 8], "sphere_dim": 3},
+        },
+        "mle": TestMle.CONFIG,
+    }
+
+    def _outputs(self, tmp_path, case, config):
+        TestChow()._measures(tmp_path)
+        out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+        sub = case.split("-")[0]
+        assert run([sub, "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize(
+        "case, floats",
+        [
+            ("sphere", {"K": 2.0}),
+            ("sphere", {"sphere_dim": 3.0}),
+            ("sphere-ratio", {"K": 5.0, "sphere_dim": 3.0}),
+            ("chow", {"N": 2.0}),
+            ("sample", {"replicates": 5.0}),
+            ("sample-dyadic", {"design": {"type": "dyadic_interval", "n": 8.0}}),
+            ("jdiv-sphere", {"designs": {"type": "fibonacci_sphere", "sizes": [2.0, 4, 6, 8.0], "sphere_dim": 3.0}}),
+            ("mle", {"n_grid": [6.0, 10], "replicates": 20.0, "optimizer": {"starts": 2.0, "max_evals": 120.0}}),
+        ],
+    )
+    def test_same_bytes(self, tmp_path, case, floats):
+        config = self.RUNS[case]
+        assert self._outputs(tmp_path, case, config) == self._outputs(tmp_path, case, {**config, **floats})
 
 
 class TestFailedRunWritesNothing:

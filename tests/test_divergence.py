@@ -206,6 +206,13 @@ class TestJDivergenceTrace:
         with pytest.raises(ContractError, match="finite"):
             gram(k1, designs[-1])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_j_rejected(self):
+        # each variance is finite, but (v1 - v2)^2 / (2 v1 v2) is not
+        k1, k2 = ExponentialKernel(1e150, 1.0), ExponentialKernel(1e-150, 1.0)
+        with pytest.raises(ContractError, match="kernel variances overflow on this design"):
+            j_divergence_trace(k1, k2, dyadic_interval_designs(8))
+
     def test_markov_matches_dense_at_2048(self):
         # the mixed pair exercises every AR term: rho differs and var1 grows
         k1, k2 = BrownianKernel(1.5), ExponentialKernel(1.0, 3.0)

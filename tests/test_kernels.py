@@ -189,6 +189,14 @@ class TestDesign:
             Design.from_json({"geometry": {"kind": "sphere", "dim": 1}, "points": [[1.0], [-1.0]]})
         assert Geometry.sphere(2) == Geometry("sphere", 2)
 
+    def test_dimension_follows_the_integer_rule(self):
+        geometry = Geometry("euclidean", 1.0)
+        assert geometry == Geometry.euclidean(1) and type(geometry.dim) is int
+        assert Design([0.1, 0.2], geometry).to_json()["geometry"] == {"kind": "euclidean", "dim": 1}
+        for dim in (1.5, True, "1"):
+            with pytest.raises(ContractError, match="dim must be"):
+                Geometry("euclidean", dim)
+
     def test_json_roundtrip(self, rng):
         d = Design.on_sphere(random_unit_vectors(rng, 4, 3))
         d2 = Design.from_json(d.to_json())
@@ -295,6 +303,14 @@ class TestSchoenbergSpectrum:
             SchoenbergSpectrum(2, np.array([1.0]))
         with pytest.raises(ContractError):
             SchoenbergSpectrum(3, np.array([1.0, -0.1]))
+
+    def test_sphere_dim_follows_the_integer_rule(self):
+        read, exact = SchoenbergSpectrum(3.0, [1.0, 0.5]), SchoenbergSpectrum(3, [1.0, 0.5])
+        assert type(read.sphere_dim) is int
+        np.testing.assert_array_equal(read.harmonic_dims, exact.harmonic_dims)
+        for d in (3.5, True, "3"):
+            with pytest.raises(ContractError, match="sphere_dim must be"):
+                SchoenbergSpectrum(d, np.array([1.0]))
 
     def test_diagnostics(self):
         spectrum = SchoenbergSpectrum(3, np.array([2.0, 0.0, 1.0]))

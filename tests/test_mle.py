@@ -227,6 +227,31 @@ class TestFitMle:
         with pytest.raises(OptimizationFailedError):
             fit_mle(problem, ParamSpace([0.1], [10.0]))
 
+    def test_tallies_match_objective_calls_and_starts(self, monkeypatch):
+        # evaluations is the likelihood call count; minimize runs once per start
+        import gaussequiv.mle as mle
+
+        calls = {"nll": 0, "minimize": 0}
+        real_nll, real_minimize = mle.neg_log_likelihood, mle.minimize
+
+        def counting_nll(*args):
+            calls["nll"] += 1
+            return real_nll(*args)
+
+        def counting_minimize(*args, **kwargs):
+            calls["minimize"] += 1
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(mle, "neg_log_likelihood", counting_nll)
+        monkeypatch.setattr(mle, "minimize", counting_minimize)
+        design, y = simulate(20, 1.0, 1.0, seed=6)
+        problem = LikelihoodProblem(exp_family, design, y)
+        config = OptimizerConfig(starts=3.0, max_evals=40)
+        result = fit_mle(problem, ParamSpace([0.05, 0.05], [20.0, 20.0]), config)
+        assert calls == {"nll": result.evaluations, "minimize": 3}
+        assert result.penalized_evaluations == 0
+        assert result.maxfev_starts == 3
+
     def test_log_transform_needs_positive_box(self):
         design, y = simulate(5, 1.0, 1.0, seed=2)
         problem = LikelihoodProblem(exp_family, design, y)
@@ -296,6 +321,18 @@ class TestMicroergodicExperiment:
         with pytest.raises(ContractError):
             ExperimentConfig(n_grid=(10, 20), replicates=5, seed=1)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_grid": (50.5, 100)}, {"n_grid": (True, 100)}, {"replicates": 20.5}, {"replicates": "20"}]
+    )
+    def test_counts_follow_the_integer_rule(self, kwargs):
+        with pytest.raises(ContractError, match="must be"):
+            ExperimentConfig(**{"n_grid": (50, 100), "replicates": 20, "seed": 1, **kwargs})
+
+    def test_integral_float_counts_read_as_ints(self):
+        config = ExperimentConfig(n_grid=[50.0, 100], replicates=20.0, seed=1)
+        assert config.n_grid == (50, 100) and config.replicates == 20
+        assert all(type(v) is int for v in (*config.n_grid, config.replicates))
+
     @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
     @pytest.mark.parametrize("value", [(1.0,), (0.5, 1.0, 2.0)])
     def test_pairs_must_have_length_two(self, key, value):
@@ -314,3 +351,23 @@ class TestOptimizerConfig:
 
     def test_accepts_zero_tolerances_and_one_evaluation(self):
         OptimizerConfig(tol_x=0.0, tol_f=0.0, max_evals=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"starts": 2.5}, "starts must be an integer"),
+            ({"starts": True}, "starts must be a JSON number"),
+            ({"max_evals": 50.5}, "max_evals must be an integer"),
+            ({"max_evals": "50"}, "max_evals must be a JSON number"),
+            ({"tol_x": "1e-3"}, "tol_x must be a JSON number"),
+            ({"tol_f": None}, "tol_f must be a JSON number"),
+        ],
+    )
+    def test_settings_follow_the_number_rules(self, kwargs, message):
+        with pytest.raises(ContractError, match=message):
+            OptimizerConfig(**kwargs)
+
+    def test_integral_floats_read_as_counts(self):
+        config = OptimizerConfig(starts=2.0, max_evals=50.0, tol_x=0)
+        assert config == OptimizerConfig(starts=2, max_evals=50, tol_x=0.0)
+        assert [type(v) for v in vars(config).values()] == [int, float, float, int]

@@ -85,6 +85,26 @@ class TestSphereEquivalenceSum:
         assert len(res.terms) == 2
         assert res.final == pytest.approx(1.0, rel=1e-12)  # h(0) (1 - 2)^2
 
+    def test_last_degree_follows_the_integer_rule(self):
+        s1 = SchoenbergSpectrum(3, np.array([1.0, 2.0, 1.0]))
+        s2 = SchoenbergSpectrum(3, np.array([1.0, 1.0, 1.0]))
+        exact, read = sphere_equivalence_sum(s1, s2, 2), sphere_equivalence_sum(s1, s2, 2.0)
+        np.testing.assert_array_equal(read.indices, exact.indices)
+        np.testing.assert_array_equal(read.partial_sums, exact.partial_sums)
+        assert (read.final, read.verdict, read.tail_bound) == (exact.final, exact.verdict, exact.tail_bound)
+        for last_k in (2.5, True, "2"):
+            with pytest.raises(ContractError, match="K must be"):
+                sphere_equivalence_sum(s1, s2, last_k)
+
+    def test_ratio_model_spectra_follow_the_integer_rule(self):
+        model = PowerLawRatio(c=1.0, s=2.0)
+        exact, read = spectra_from_ratio_model(model, 3, 4), spectra_from_ratio_model(model, 3.0, 4.0)
+        for a, b in zip(exact, read):
+            assert type(b.sphere_dim) is int
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        with pytest.raises(ContractError, match="K must be an integer"):
+            spectra_from_ratio_model(model, 3, 4.5)
+
     def test_dimension_mismatch(self):
         s1 = SchoenbergSpectrum(3, np.array([1.0]))
         s2 = SchoenbergSpectrum(4, np.array([1.0]))
@@ -141,6 +161,17 @@ class TestChowSum:
         m2 = AtomicSpectralMeasure(("a", "c"), np.array([1.0, 1.0]), np.array([1, 1]))
         with pytest.raises(AtomMismatchError):
             chow_sum(m1, m2, 2)
+
+    def test_atom_count_follows_the_integer_rule(self):
+        m1 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 2.0]), np.array([1, 3]))
+        m2 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 1.0]), np.array([1, 3]))
+        exact, read = chow_sum(m1, m2, 2), chow_sum(m1, m2, 2.0)
+        np.testing.assert_array_equal(read.indices, exact.indices)
+        np.testing.assert_array_equal(read.partial_sums, exact.partial_sums)
+        assert read.final == exact.final == 3.0
+        for n_atoms in (True, 1.5, None):
+            with pytest.raises(ContractError, match="N must be"):
+                chow_sum(m1, m2, n_atoms)
 
     def test_too_few_atoms(self):
         m = AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([1]))
@@ -253,6 +284,27 @@ class TestInputValidation:
     def test_ratio_model_not_json_number_rejected(self, obj):
         with pytest.raises(ContractError):
             ratio_model_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "labels, masses, dims, message",
+        [
+            ((1, 2), [1.0, 1.0], [1, 1], "atom labels must be JSON strings"),
+            (("a", None), [1.0, 1.0], [1, 1], "atom labels must be JSON strings"),
+            (("a", 2.0), [1.0, 1.0], [1, 1], "atom labels must be JSON strings"),
+            (("a", "b"), ["2", "1"], [1, 1], "mass must be an array of JSON numbers"),
+            (("a", "b"), [1.0, None], [1, 1], "mass must be an array of JSON numbers"),
+            (("a", "b"), [1.0, 1.0], ["1", 1], "dim must be an array of JSON numbers"),
+        ],
+    )
+    def test_constructor_coerces_nothing(self, labels, masses, dims, message):
+        with pytest.raises(ContractError, match=message):
+            AtomicSpectralMeasure(labels, masses, dims)
+
+    def test_numeric_string_labels_are_strings(self):
+        # "1" is a JSON string, so it stays a valid label; only non-strings are refused
+        m = AtomicSpectralMeasure(["1", "2"], [1.0, 2.0], [1, 1])
+        assert m.labels == ("1", "2")
+        assert AtomicSpectralMeasure.from_json(m.to_json()).labels == ("1", "2")
 
     def test_integral_float_dim_accepted(self):
         m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2.0}]})
