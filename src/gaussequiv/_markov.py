@@ -51,6 +51,13 @@ def _ar(kernel: ExponentialKernel | BrownianKernel, t: np.ndarray, dt: np.ndarra
     return var[:-1], 0.0, v
 
 
+def _sort_line(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, t[order], dt)``: the sorting permutation of ``t``, the sorted points, their increments."""
+    order = np.argsort(t)
+    ts = t[order]
+    return order, ts, np.diff(ts)
+
+
 def _require_positive(v: np.ndarray, order: np.ndarray) -> None:
     """Raise :class:`SingularGramError` unless every innovation variance is > 0.
 
@@ -80,9 +87,7 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
     SingularGramError
         If an innovation variance is not positive; see ``_require_positive``.
     """
-    order = np.argsort(t)
-    ts = t[order]
-    dt = np.diff(ts)
+    order, ts, dt = _sort_line(t)
     (var1, beta1, v1), (var2, beta2, v2) = _ar(k1, ts, dt), _ar(k2, ts, dt)
     _require_positive(v1, order)
     _require_positive(v2, order)

@@ -66,14 +66,19 @@ def _object(obj, name: str) -> dict:
     return obj
 
 
+def _given(obj: dict, *keys: str) -> dict:
+    """The optional ``keys`` present in ``obj``; the library defaults the rest."""
+    return {k: obj[k] for k in keys if k in obj}
+
+
 def _design_from_config(obj: dict) -> Design:
     kind = obj["type"]
     if kind == "equispaced_interval":
-        return equispaced_interval_design(obj["n"], obj.get("domain", (0.0, 1.0)))
+        return equispaced_interval_design(obj["n"], **_given(obj, "domain"))
     if kind == "dyadic_interval":
-        return Design.interval(dyadic_interval_points(obj["n"], obj.get("domain", (0.0, 1.0))))
+        return Design.interval(dyadic_interval_points(obj["n"], **_given(obj, "domain")))
     if kind == "fibonacci_sphere":
-        return Design.on_sphere(sphere_sequence(obj["n"], obj.get("sphere_dim", 3)))
+        return Design.on_sphere(sphere_sequence(obj["n"], **_given(obj, "sphere_dim")))
     if kind == "explicit":
         return Design.from_json(obj)
     raise ContractError(f"unknown design type {kind!r}")
@@ -82,9 +87,9 @@ def _design_from_config(obj: dict) -> Design:
 def _nested_designs_from_config(obj: dict) -> list[Design]:
     kind = obj["type"]
     if kind == "dyadic_interval":
-        return dyadic_interval_designs(obj["max_n"], obj.get("domain", (0.0, 1.0)))
+        return dyadic_interval_designs(obj["max_n"], **_given(obj, "domain"))
     if kind == "fibonacci_sphere":
-        return fibonacci_sphere_designs(obj["sizes"], obj.get("sphere_dim", 3))
+        return fibonacci_sphere_designs(obj["sizes"], **_given(obj, "sphere_dim"))
     raise ContractError(f"unknown nested design type {kind!r}")
 
 
@@ -126,8 +131,7 @@ def _run_chow(config: dict, seed, args) -> dict:
     m1 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure1"]).read_text()))
     m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
-    bound = _number(config["weight_bound"], "weight_bound") if "weight_bound" in config else None
-    result = chow_sum(m1, m2, config["N"], tail_model=model, tail_weight_bound=bound)
+    result = chow_sum(m1, m2, config["N"], tail_model=model, tail_weight_bound=config.get("weight_bound"))
     return _criterion_outputs(result, "n", {"N": len(result.terms)})
 
 
@@ -145,17 +149,15 @@ def _run_sample(config: dict, seed, args) -> dict:
 
 
 def _run_mle(config: dict, seed, args) -> dict:
-    present = {
-        k: _number(config[k], k, array=True).tolist() for k in ("theta0", "domain", "box") if k in config
-    }
-    if "box" in present:
-        present["box_lower"], present["box_upper"] = present.pop("box")
+    pairs = _given(config, "theta0", "domain")
+    if "box" in config:
+        pairs["box_lower"], pairs["box_upper"] = config["box"]
     exp_config = ExperimentConfig(
         n_grid=config["n_grid"],
         replicates=config["replicates"],
         seed=seed,
         optimizer=OptimizerConfig(**_object(config.get("optimizer", {}), "optimizer")),
-        **{k: tuple(v) for k, v in present.items()},
+        **pairs,
     )
     report = microergodic_experiment(exp_config)
     failed, attempted = sum(report.failed), report.replicates * len(report.n_grid)

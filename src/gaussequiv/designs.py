@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ContractError
-from .kernels import Design, _integer, _number
+from .kernels import Design, _counts, _integer, _pair
 
 __all__ = [
     "dyadic_interval_points",
@@ -50,10 +50,10 @@ def _halton(n: int, d: int) -> np.ndarray:
 
 def _interval(domain) -> tuple[float, float]:
     """The endpoints (a, b) of a ``domain`` of exactly two finite numbers a < b."""
-    ab = _number(domain, "domain", array=True)
-    if ab.shape != (2,) or not -np.inf < ab[0] < ab[1] < np.inf:
+    a, b = _pair(domain, "domain")
+    if not -np.inf < a < b < np.inf:
         raise ContractError(f"domain must be two finite numbers [a, b] with a < b, not {domain!r}")
-    return float(ab[0]), float(ab[1])
+    return a, b
 
 
 def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
@@ -111,11 +111,7 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
 
 def fibonacci_sphere_designs(sizes: Sequence[int], sphere_dim: int = 3) -> list[Design]:
     """Nested sphere designs cut as prefixes of one quasi-uniform sequence."""
-    sizes = [_integer(s, "sizes") for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ContractError("sizes must be positive")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ContractError("sizes must be strictly increasing")
+    sizes = _counts(sizes, "sizes")
     pts = sphere_sequence(sizes[-1], sphere_dim)
     return [Design.on_sphere(pts[:n]) for n in sizes]
 

@@ -88,9 +88,6 @@ class DivergenceTrace:
     values: np.ndarray
     slope_estimate: float
 
-    def __len__(self) -> int:
-        return len(self.sizes)
-
 
 def _slope(sizes: Sequence[int], values: np.ndarray) -> float:
     if len(sizes) < 2:
@@ -167,7 +164,7 @@ def dichotomy_diagnostic(trace: DivergenceTrace) -> DichotomyVerdict:
     tail slope estimate.  A finite trace cannot prove either side of the
     dichotomy; treat the label as a diagnostic reading of the raw trace.
     """
-    if len(trace) < 4:
+    if len(trace.sizes) < 4:
         raise ContractError("dichotomy diagnostic needs a trace of length >= 4")
     sizes = np.asarray(trace.sizes, dtype=float)
     n_last = sizes[-1]

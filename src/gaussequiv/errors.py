@@ -14,9 +14,9 @@ class SingularGramError(RuntimeError):
         Zero-based index of the diagonal entry at which factorization broke down.
     """
 
-    def __init__(self, pivot: int, message: str | None = None):
+    def __init__(self, pivot: int):
         self.pivot = pivot
-        super().__init__(message or f"matrix is not positive definite (failing pivot {pivot})")
+        super().__init__(f"matrix is not positive definite (failing pivot {pivot})")
 
 
 class AtomMismatchError(RuntimeError):

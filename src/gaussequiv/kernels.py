@@ -43,7 +43,6 @@ __all__ = [
     "harmonic_dimensions",
     "gegenbauer_normalized",
     "kernel_from_json",
-    "kernel_to_json",
 ]
 
 SPHERE_NORM_TOL = 1e-12
@@ -79,6 +78,24 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _counts(value, key: str) -> tuple[int, ...]:
+    """A nonempty, strictly increasing list of counts >= 1 as a tuple of ints."""
+    if _number(value, key, array=True).ndim != 1 or len(value) == 0:
+        raise ContractError(f"{key} must be a nonempty list of counts, not {reprlib.repr(value)}")
+    counts = tuple(_integer(n, key) for n in value)
+    if counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ContractError(f"{key} must be strictly increasing counts >= 1, not {counts}")
+    return counts
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """Exactly two JSON numbers as a tuple of floats."""
+    pair = _number(value, key, array=True)
+    if pair.shape != (2,):
+        raise ContractError(f"{key} must have length 2, not {reprlib.repr(value)}")
+    return tuple(pair.tolist())
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Domain of a design: Euclidean space R^dim or the sphere S^{dim-1} in R^dim."""
@@ -94,14 +111,6 @@ class Geometry:
             raise ContractError("geometry dimension must be >= 1")
         if self.kind == "sphere" and self.dim < 2:
             raise ContractError("sphere geometry needs ambient dimension >= 2")
-
-    @staticmethod
-    def euclidean(dim: int) -> "Geometry":
-        return Geometry("euclidean", dim)
-
-    @staticmethod
-    def sphere(dim: int) -> "Geometry":
-        return Geometry("sphere", dim)
 
 
 def _points_array(points, geometry: Geometry) -> np.ndarray:
@@ -155,11 +164,6 @@ class Design:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def prefix(self, n: int) -> "Design":
-        if not 1 <= n <= len(self):
-            raise ContractError("prefix length out of range")
-        return Design(self.coords[:n], self.geometry)
-
     def is_prefix_of(self, other: "Design") -> bool:
         if self.geometry != other.geometry or len(self) > len(other):
             return False
@@ -168,7 +172,7 @@ class Design:
     @staticmethod
     def interval(values: Sequence[float]) -> "Design":
         """Design of scalar points on the real line."""
-        return Design(values, Geometry.euclidean(1))
+        return Design(values, Geometry("euclidean", 1))
 
     @staticmethod
     def on_sphere(coords: np.ndarray) -> "Design":
@@ -176,7 +180,7 @@ class Design:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ContractError("sphere design expects an (n, d) array")
-        return Design(coords, Geometry.sphere(coords.shape[1]))
+        return Design(coords, Geometry("sphere", coords.shape[1]))
 
     def to_json(self) -> dict:
         return {
@@ -195,22 +199,31 @@ class Design:
 # ---------------------------------------------------------------------------
 
 
+def _sphere_degree(d, k, key: str = "d") -> tuple[int, int]:
+    """The counts ``(d, k)``: a sphere S^{d-1} with d >= 3, named ``key`` in errors, and a degree k >= 0."""
+    d, k = _integer(d, key), _integer(k, "degree")
+    if d < 3:
+        raise ContractError(f"{key} must be >= 3, not {d}")
+    if k < 0:
+        raise ContractError(f"degree must be nonnegative, not {k}")
+    return d, k
+
+
 def harmonic_dimension(d: int, k: int) -> int:
     """Dimension of the space of degree-k spherical harmonics on S^{d-1}.
 
     Computed as ``C(k+d-1, d-1) - C(k+d-3, d-1)`` with the convention
     ``C(m, j) = 0`` for ``m < j``; equals ``2k+1`` when ``d = 3``.
     """
-    if d < 3:
-        raise ContractError("harmonic dimension requires d >= 3")
-    if k < 0:
-        raise ContractError("degree k must be nonnegative")
+    d, k = _sphere_degree(d, k)
     return math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1)
 
 
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
     """Vector of harmonic dimensions for degrees 0..max_degree."""
-    return np.array([harmonic_dimension(d, k) for k in range(max_degree + 1)], dtype=float)
+    d, last = _sphere_degree(d, max_degree)
+    h = [math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1) for k in range(last + 1)]
+    return np.array(h, dtype=float)
 
 
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
@@ -232,10 +245,7 @@ def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
     x : float or ndarray
         Arguments in [-1, 1] (a slack of 1e-12 is clamped).
     """
-    if d < 3:
-        raise ContractError("gegenbauer_normalized requires d >= 3")
-    if k < 0:
-        raise ContractError("degree k must be nonnegative")
+    d, k = _sphere_degree(d, k)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.asarray(x, dtype=float)
     if np.max(np.abs(xa)) > 1.0 + 1e-12:
@@ -284,17 +294,14 @@ class SchoenbergSpectrum:
     """Nonnegative degree-wise coefficients of an isotropic kernel on S^{d-1}.
 
     The sequence is an explicit truncation: entries beyond the stored list are
-    treated as zero.  ``tail_term`` reports the magnitude of the last stored
-    term ``h(K) * a(K)`` as a truncation diagnostic.
+    treated as zero.
     """
 
     sphere_dim: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sphere_dim", _integer(self.sphere_dim, "sphere_dim"))
-        if self.sphere_dim < 3:
-            raise ContractError("Schoenberg spectrum requires sphere_dim >= 3")
+        object.__setattr__(self, "sphere_dim", _sphere_degree(self.sphere_dim, 0, "sphere_dim")[0])
         coeffs = np.array(np.atleast_1d(self.coeffs), dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -313,19 +320,6 @@ class SchoenbergSpectrum:
     @cached_property
     def harmonic_dims(self) -> np.ndarray:
         return harmonic_dimensions(self.sphere_dim, self.truncation)
-
-    @property
-    def positive_count(self) -> int:
-        return int(np.count_nonzero(self.coeffs > 0))
-
-    @property
-    def trace_value(self) -> float:
-        """Value on the diagonal, sum_k h(k) * a(k)."""
-        return float(self.harmonic_dims @ self.coeffs)
-
-    @property
-    def tail_term(self) -> float:
-        return float(self.harmonic_dims[-1] * self.coeffs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +344,6 @@ class CovarianceKernel(ABC):
         """
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    # math.isfinite, not numpy: an ExponentialKernel is built on every
-    # likelihood evaluation of a fit
-    if not (value > 0 and math.isfinite(value)):
-        raise ContractError(f"{name} must be finite and strictly positive")
-
-
 def _require_sigma(sigma: float) -> None:
     # sigma * sigma overflows to inf where sigma**2 raises OverflowError
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
@@ -368,7 +355,7 @@ class BrownianKernel(CovarianceKernel):
     """Brownian-motion covariance ``sigma^2 * min(s, t)`` for scalar s, t >= 0."""
 
     sigma: float
-    geometry = Geometry.euclidean(1)
+    geometry = Geometry("euclidean", 1)
 
     def __post_init__(self):
         _require_sigma(self.sigma)
@@ -391,11 +378,14 @@ class ExponentialKernel(CovarianceKernel):
 
     sigma: float
     beta: float
-    geometry = Geometry.euclidean(1)
+    geometry = Geometry("euclidean", 1)
 
     def __post_init__(self):
         _require_sigma(self.sigma)
-        _require_positive_finite("beta", self.beta)
+        # math.isfinite, not numpy: an ExponentialKernel is built on every
+        # likelihood evaluation of a fit
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ContractError("beta must be finite and strictly positive")
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
@@ -416,7 +406,7 @@ class SchoenbergKernel(CovarianceKernel):
 
     @property
     def geometry(self) -> Geometry:
-        return Geometry.sphere(self.spectrum.sphere_dim)
+        return Geometry("sphere", self.spectrum.sphere_dim)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Kernel matrix assembled in upper-triangle row blocks and mirrored.
@@ -565,16 +555,3 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
         return SchoenbergKernel(SchoenbergSpectrum(_integer(obj["d"], "d"), coeffs))
     raise ContractError(f"unknown kernel variant {variant!r}")
 
-
-def kernel_to_json(kernel: CovarianceKernel) -> dict:
-    if isinstance(kernel, BrownianKernel):
-        return {"variant": "brownian", "sigma": kernel.sigma}
-    if isinstance(kernel, ExponentialKernel):
-        return {"variant": "exponential", "sigma": kernel.sigma, "beta": kernel.beta}
-    if isinstance(kernel, SchoenbergKernel):
-        return {
-            "variant": "schoenberg",
-            "d": kernel.spectrum.sphere_dim,
-            "coeffs": kernel.spectrum.coeffs.tolist(),
-        }
-    raise ContractError(f"cannot serialize kernel of type {type(kernel).__name__}")

@@ -32,11 +32,11 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from ._csvio import write_csv
-from ._markov import MARKOV_KERNELS, _markov_nll
+from ._markov import MARKOV_KERNELS, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
-from .kernels import _integer, _number
+from .kernels import _counts, _integer, _number, _pair
 from .designs import _halton, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
@@ -94,12 +94,9 @@ class LikelihoodProblem:
 
     @cached_property
     def _line_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(order, t, dt, y)``: sorting permutation, sorted points, their
-        (positive) increments and the data in that order, on a 1-D design.
-        """
-        order = np.argsort(self.design.coords[:, 0])
-        t = self.design.coords[order, 0]
-        return order, t, np.diff(t), self.data[order]
+        """``(order, t, dt, y)``: ``_sort_line`` of the 1-D design and the data in sorted order."""
+        order, t, dt = _sort_line(self.design.coords[:, 0])
+        return order, t, dt, self.data[order]
 
 
 @dataclass(frozen=True)
@@ -235,15 +232,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(_integer(n, "n_grid") for n in self.n_grid))
+        object.__setattr__(self, "n_grid", _counts(self.n_grid, "n_grid"))
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
-        if len(self.n_grid) < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ContractError("n_grid must be strictly increasing")
         if self.replicates < 20:
             raise ContractError("experiment needs at least 20 replicates")
         for name in ("theta0", "domain", "box_lower", "box_upper"):
-            if len(getattr(self, name)) != 2:
-                raise ContractError(f"{name} must have length 2")
+            object.__setattr__(self, name, _pair(getattr(self, name), name))
         if self.workers != 1:
             raise ContractError("workers must be 1: replicate fits run serially")
 

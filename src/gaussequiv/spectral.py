@@ -303,7 +303,7 @@ def chow_sum(
     dims = m1.dims[:n_atoms]
     if np.any(dims != m2.dims[:n_atoms]):
         raise ContractError("aligned atoms must carry equal dimensions")
-    bound = float(np.max(dims) if tail_weight_bound is None else tail_weight_bound)
+    bound = _number(np.max(dims) if tail_weight_bound is None else tail_weight_bound, "tail_weight_bound")
     if not 1.0 <= bound < math.inf:
         raise ContractError("tail weight bound must be finite and >= 1")
     return _criterion(

@@ -453,6 +453,9 @@ class TestMle:
             ("optimizer", {"tol_x": "nan"}),
             ("optimizer", {"tol_f": -1.0}),
             ("optimizer", {"tol_x": "1e-3"}),
+            ("n_grid", 6),
+            ("theta0", 1.0),
+            ("box", [[0.05, "0.05"], [20.0, 20.0]]),
         ],
     )
     def test_out_of_range_setting_exit_code(self, tmp_path, capsys, key, value):

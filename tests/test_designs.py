@@ -152,6 +152,31 @@ class TestSphereSequence:
         assert [d.coords.tobytes() for d in floats] == [d.coords.tobytes() for d in ints]
 
 
+# the two count lists of the library, read by one rule
+COUNT_LISTS = {
+    "sizes": fibonacci_sphere_designs,
+    "n_grid": lambda n_grid: gaussequiv.ExperimentConfig(n_grid=n_grid, replicates=20, seed=1),
+}
+
+
+@pytest.mark.parametrize("key", COUNT_LISTS)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (6, "nonempty list of counts"),
+        ([], "nonempty list of counts"),
+        ([0, 1], "strictly increasing counts >= 1"),
+        ([3, 3], "strictly increasing counts >= 1"),
+        ([2.5], "an integer"),
+        ([True], "array of JSON numbers"),
+    ],
+    ids=["bare-number", "empty", "zero", "repeated", "fraction", "bool"],
+)
+def test_count_list_rule(key, bad, message):
+    with pytest.raises(ContractError, match=f"{key} must be .*{message}"):
+        COUNT_LISTS[key](bad)
+
+
 class TestEquispaced:
     def test_endpoints_included(self):
         d = equispaced_interval_design(5, (0.0, 1.0))

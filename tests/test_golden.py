@@ -151,7 +151,7 @@ PUBLIC_NAMES = [
     "equispaced_interval_design", "errors", "eval_kernel", "fibonacci_sphere_designs",
     "fit_mle", "gaussian_logpdf", "gegenbauer_normalized", "gram", "gram_from_matrix",
     "harmonic_dimension", "harmonic_dimensions", "is_prefix_nested", "j_divergence",
-    "j_divergence_trace", "kernel_from_json", "kernel_to_json", "kernels",
+    "j_divergence_trace", "kernel_from_json", "kernels",
     "microergodic_experiment", "mle", "neg_log_likelihood", "report_to_csv",
     "reproducing_check", "rkhs", "rkhs_inner", "rkhs_norm", "sample_paths", "sampler",
     "spectra_from_ratio_model", "spectral", "sphere_equivalence_sum", "sphere_sequence",

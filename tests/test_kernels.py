@@ -19,8 +19,8 @@ from gaussequiv import (
     gram,
     gram_from_matrix,
     harmonic_dimension,
+    harmonic_dimensions,
     kernel_from_json,
-    kernel_to_json,
 )
 from gaussequiv.designs import sphere_sequence
 
@@ -126,7 +126,7 @@ class TestGram:
         held = np.array([[2.0, 0.5], [0.5, 1.0]])
 
         class HeldKernel(CovarianceKernel):
-            geometry = Geometry.euclidean(1)
+            geometry = Geometry("euclidean", 1)
 
             def matrix(self, coords):
                 return held
@@ -151,8 +151,8 @@ class TestDesign:
         with pytest.raises(ContractError):
             Design.interval([0.0, 0.3, -0.0])
         with pytest.raises(ContractError):
-            Design(np.array([[0.1, 0.2], [0.3, 0.2], [0.1, 0.2]]), Geometry.euclidean(2))
-        assert len(Design(np.array([[0.1, 0.2], [0.2, 0.1]]), Geometry.euclidean(2))) == 2
+            Design(np.array([[0.1, 0.2], [0.3, 0.2], [0.1, 0.2]]), Geometry("euclidean", 2))
+        assert len(Design(np.array([[0.1, 0.2], [0.2, 0.1]]), Geometry("euclidean", 2))) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -164,9 +164,9 @@ class TestDesign:
             Design.on_sphere(np.array([[1.0, 0.0, 0.1]]))
 
     def test_prefix(self):
-        d = Design.interval([0.1, 0.2, 0.3])
-        assert d.prefix(2).is_prefix_of(d)
-        assert not d.is_prefix_of(d.prefix(2))
+        d, head = Design.interval([0.1, 0.2, 0.3]), Design.interval([0.1, 0.2])
+        assert head.is_prefix_of(d)
+        assert not d.is_prefix_of(head)
 
     def test_from_json_rejects_malformed_points(self):
         geometry = {"kind": "euclidean", "dim": 1}
@@ -182,16 +182,14 @@ class TestDesign:
                 Design.from_json({"geometry": geometry, "points": points})
 
     def test_sphere_needs_ambient_dimension_two(self):
-        # the rule holds for every construction path, not only Geometry.sphere
         with pytest.raises(ContractError, match="ambient dimension >= 2"):
             Geometry("sphere", 1)
         with pytest.raises(ContractError, match="ambient dimension >= 2"):
             Design.from_json({"geometry": {"kind": "sphere", "dim": 1}, "points": [[1.0], [-1.0]]})
-        assert Geometry.sphere(2) == Geometry("sphere", 2)
 
     def test_dimension_follows_the_integer_rule(self):
         geometry = Geometry("euclidean", 1.0)
-        assert geometry == Geometry.euclidean(1) and type(geometry.dim) is int
+        assert geometry == Geometry("euclidean", 1) and type(geometry.dim) is int
         assert Design([0.1, 0.2], geometry).to_json()["geometry"] == {"kind": "euclidean", "dim": 1}
         for dim in (1.5, True, "1"):
             with pytest.raises(ContractError, match="dim must be"):
@@ -201,7 +199,7 @@ class TestDesign:
         d = Design.on_sphere(random_unit_vectors(rng, 4, 3))
         d2 = Design.from_json(d.to_json())
         np.testing.assert_array_equal(d.coords, d2.coords)
-        assert d2.geometry == Geometry.sphere(3)
+        assert d2.geometry == Geometry("sphere", 3)
 
 
 class TestHarmonicDimension:
@@ -219,6 +217,34 @@ class TestHarmonicDimension:
             harmonic_dimension(2, 1)
         with pytest.raises(ContractError):
             harmonic_dimension(3, -1)
+
+
+# the three special functions as functions of (d, k); one rule reads both
+SPECIAL = {
+    "harmonic_dimension": harmonic_dimension,
+    "harmonic_dimensions": harmonic_dimensions,
+    "gegenbauer_normalized": lambda d, k: gegenbauer_normalized(k, d, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", SPECIAL)
+class TestSphereDimensionAndDegree:
+    @pytest.mark.parametrize("bad", [3.5, True, "3"], ids=["fraction", "bool", "str"])
+    @pytest.mark.parametrize("which", ["d", "degree"])
+    def test_non_counts_rejected(self, name, which, bad):
+        d, k = (bad, 2) if which == "d" else (4, bad)
+        with pytest.raises(ContractError, match=f"{which} must be"):
+            SPECIAL[name](d, k)
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, -1)])
+    def test_out_of_range_rejected(self, name, d, k):
+        with pytest.raises(ContractError):
+            SPECIAL[name](d, k)
+
+    def test_integral_floats_read_as_ints(self, name):
+        got, want = SPECIAL[name](4.0, 2.0), SPECIAL[name](4, 2)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestGegenbauerNormalized:
@@ -315,26 +341,23 @@ class TestSchoenbergSpectrum:
     def test_diagnostics(self):
         spectrum = SchoenbergSpectrum(3, np.array([2.0, 0.0, 1.0]))
         assert spectrum.truncation == 2
-        assert spectrum.positive_count == 2
-        assert spectrum.trace_value == 2.0 + 5.0  # h(0) a(0) + h(2) a(2)
-        assert spectrum.tail_term == 5.0
+        np.testing.assert_array_equal(spectrum.harmonic_dims, [1.0, 3.0, 5.0])
 
     def test_diagonal_consistency(self, rng):
         """R(t, t) equals sum_k h(k) a(k) for random unit vectors."""
         spectrum = SchoenbergSpectrum(3, rng.uniform(0.0, 1.0, 9))
         k = SchoenbergKernel(spectrum)
         for u in random_unit_vectors(rng, 100, 3):
-            assert eval_kernel(k, u, u) == pytest.approx(spectrum.trace_value, rel=1e-10)
+            assert eval_kernel(k, u, u) == pytest.approx(spectrum.harmonic_dims @ spectrum.coeffs, rel=1e-10)
 
 
 class TestKernelJson:
     def test_roundtrip(self):
-        for k in (
-            BrownianKernel(sigma=2.0),
-            ExponentialKernel(sigma=1.0, beta=3.0),
-            SchoenbergKernel(SchoenbergSpectrum(4, np.array([1.0, 0.25]))),
-        ):
-            assert kernel_to_json(kernel_from_json(kernel_to_json(k))) == kernel_to_json(k)
+        assert kernel_from_json({"variant": "brownian", "sigma": 2.0}) == BrownianKernel(sigma=2.0)
+        exponential = {"variant": "exponential", "sigma": 1.0, "beta": 3.0}
+        assert kernel_from_json(exponential) == ExponentialKernel(sigma=1.0, beta=3.0)
+        spectrum = kernel_from_json({"variant": "schoenberg", "d": 4, "coeffs": [1.0, 0.25]}).spectrum
+        assert spectrum.sphere_dim == 4 and spectrum.coeffs.tolist() == [1.0, 0.25]
 
     def test_unknown_variant(self):
         with pytest.raises(ContractError):
@@ -362,7 +385,7 @@ class TestKernelJson:
 
     def test_numpy_scalars_round_trip(self):
         k = ExponentialKernel(sigma=np.float64(1.5), beta=np.float64(2.0))
-        assert kernel_from_json(kernel_to_json(k)) == k
+        assert kernel_from_json({"variant": "exponential", "sigma": k.sigma, "beta": k.beta}) == k
         geometry = {"kind": "euclidean", "dim": np.int64(1)}
         design = Design.from_json({"geometry": geometry, "points": np.arange(1.0, 4.0)})
         np.testing.assert_array_equal(design.coords, [[1.0], [2.0], [3.0]])

@@ -114,7 +114,8 @@ class TestNegLogLikelihood:
     def test_brownian_origin_penalized_with_the_trace_pivot(self):
         # X(0) = 0 for Brownian motion: the likelihood is penalized and the
         # trace raises at the pivot where dense dpotrf fails (design index 3)
-        design = Design.interval([0.5, 1.0, 0.25, 0.0, 0.75])
+        t = [0.5, 1.0, 0.25, 0.0, 0.75]
+        design = Design.interval(t)
         problem = LikelihoodProblem(brownian_family, design, np.ones(5))
         assert neg_log_likelihood(problem, [1.0]) == PENALTY
         with pytest.raises(SingularGramError) as likelihood:
@@ -122,7 +123,7 @@ class TestNegLogLikelihood:
         with pytest.raises(SingularGramError) as dense:
             gram(BrownianKernel(1.0), design)
         with pytest.raises(SingularGramError) as trace:
-            j_divergence_trace(BrownianKernel(1.0), BrownianKernel(2.0), [design.prefix(m) for m in (4, 5)])
+            j_divergence_trace(BrownianKernel(1.0), BrownianKernel(2.0), [Design.interval(t[:m]) for m in (4, 5)])
         assert likelihood.value.pivot == trace.value.pivot == dense.value.pivot == 3
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -334,10 +335,21 @@ class TestMicroergodicExperiment:
         assert all(type(v) is int for v in (*config.n_grid, config.replicates))
 
     @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
-    @pytest.mark.parametrize("value", [(1.0,), (0.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("value", [(1.0,), (0.5, 1.0, 2.0), 1.0])
     def test_pairs_must_have_length_two(self, key, value):
         with pytest.raises(ContractError, match=f"{key} must have length 2"):
             ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **{key: value})
+
+    @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
+    @pytest.mark.parametrize("value", [("a", 1), (True, 1.0)], ids=["str", "bool"])
+    def test_pairs_are_json_numbers(self, key, value):
+        with pytest.raises(ContractError, match=f"{key} must be an array of JSON numbers"):
+            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **{key: value})
+
+    def test_integral_pairs_read_as_floats(self):
+        config = ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, domain=[0, 2], theta0=np.array([1, 3]))
+        assert config.domain == (0.0, 2.0) and config.theta0 == (1.0, 3.0)
+        assert all(type(v) is float for v in (*config.domain, *config.theta0))
 
 
 class TestOptimizerConfig:

@@ -116,7 +116,7 @@ def test_design_json_roundtrip_and_prefix(design, data):
     assert again.coords.dtype == design.coords.dtype
     assert again.coords.tobytes() == design.coords.tobytes()
     m = data.draw(st.integers(1, len(design)))
-    assert design.prefix(m).is_prefix_of(design)
+    assert Design(design.coords[:m], design.geometry).is_prefix_of(design)
 
 
 @SETTINGS
@@ -126,7 +126,7 @@ def test_j_divergence_symmetric_nonnegative_monotone(t, s1, b1, s2, b2):
     design = Design.interval(t)
     values = []
     for m in range(1, len(design) + 1):
-        d = design.prefix(m)
+        d = Design.interval(t[:m])
         g1, g2 = gram(k1, d), gram(k2, d)
         j = j_divergence(g1, g2)
         assert j == j_divergence(g2, g1)
@@ -134,7 +134,7 @@ def test_j_divergence_symmetric_nonnegative_monotone(t, s1, b1, s2, b2):
         values.append(j)
     for m, (a, b) in enumerate(zip(values, values[1:]), start=2):
         assert b >= a - J_RTOL * (m + b)
-    trace = j_divergence_trace(k1, k2, [design.prefix(m) for m in range(1, len(design) + 1)])
+    trace = j_divergence_trace(k1, k2, [Design.interval(t[:m]) for m in range(1, len(design) + 1)])
     for m, (got, j) in enumerate(zip(trace.values, values), start=1):
         want = max(0.0, j)
         assert abs(got - want) <= J_RTOL * (m + want)
@@ -154,7 +154,7 @@ def test_markov_trace_matches_dense_oracle(k1, k2, t, data):
     # points > 0 in drawn, unsorted order: each prefix re-sorts its points
     design = Design.interval(t)
     sizes = data.draw(st.lists(st.integers(1, len(t)), min_size=1, max_size=len(t), unique=True).map(sorted))
-    designs = [design.prefix(m) for m in sizes]
+    designs = [Design.interval(t[:m]) for m in sizes]
     trace = j_divergence_trace(k1, k2, designs)
     for m, got, d in zip(sizes, trace.values, designs):
         want = j_divergence(gram(k1, d), gram(k2, d))
