@@ -31,7 +31,7 @@ from .designs import (
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
 from .errors import AtomMismatchError, ContractError, OptimizationFailedError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, _integer, _number, gram, kernel_from_json
+from .kernels import Design, SchoenbergSpectrum, _seed, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
 from .sampler import batch_to_csv, sample_paths
 from .spectral import (
@@ -116,8 +116,7 @@ def _run_sphere(config: dict, seed, args) -> dict:
     d, last_k = config["sphere_dim"], config["K"]
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
     if "spectrum1" in config or "spectrum2" in config:
-        s1 = SchoenbergSpectrum(d, _number(config["spectrum1"], "spectrum1", array=True))
-        s2 = SchoenbergSpectrum(d, _number(config["spectrum2"], "spectrum2", array=True))
+        s1, s2 = SchoenbergSpectrum(d, config["spectrum1"]), SchoenbergSpectrum(d, config["spectrum2"])
     elif model is not None:
         s1, s2 = spectra_from_ratio_model(model, d, last_k)
     else:
@@ -149,15 +148,12 @@ def _run_sample(config: dict, seed, args) -> dict:
 
 
 def _run_mle(config: dict, seed, args) -> dict:
-    pairs = _given(config, "theta0", "domain")
-    if "box" in config:
-        pairs["box_lower"], pairs["box_upper"] = config["box"]
     exp_config = ExperimentConfig(
         n_grid=config["n_grid"],
         replicates=config["replicates"],
         seed=seed,
         optimizer=OptimizerConfig(**_object(config.get("optimizer", {}), "optimizer")),
-        **pairs,
+        **_given(config, "theta0", "domain", "box"),
     )
     report = microergodic_experiment(exp_config)
     failed, attempted = sum(report.failed), report.replicates * len(report.n_grid)
@@ -250,9 +246,7 @@ def main(argv=None) -> int:
         config_bytes = Path(args.config).read_bytes()
         config = _object(json.loads(config_bytes), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
-        seed = None if seed is None else _integer(seed, "seed")
-        if seed is not None and seed < 0:
-            raise ContractError(f"seed must be >= 0, not {seed}")
+        seed = None if seed is None else _seed(seed)
         if seed is None and args.subcommand in ("sample", "mle"):
             raise ContractError(f"{args.subcommand} requires a seed (config key 'seed' or --seed)")
         outputs = args.handler(config, seed, args)

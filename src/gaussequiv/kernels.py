@@ -58,10 +58,12 @@ def _number(value, key: str, array: bool = False):
 
     ``bool``, ``str`` and ``null`` are not numbers, although ``float()`` and
     numpy read all three.  The leaf types are tested as one set, so a long
-    list costs no Python call per entry.
+    list costs no Python call per entry.  A numeric ndarray can hold none of
+    the three, so its entries are not scanned.
     """
-    leaves = np.array(value, dtype=object)
-    types = set(map(type, leaves.flat))
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+    leaves = value if numeric else np.array(value, dtype=object)
+    types = () if numeric else set(map(type, leaves.flat))
     if bool in types or not all(issubclass(t, Real) for t in types) or (leaves.ndim and not array):
         what = "an array of JSON numbers" if array else "a JSON number"
         raise ContractError(f"{key} must be {what}, not {reprlib.repr(value)}")
@@ -76,6 +78,14 @@ def _integer(value, key: str) -> int:
     if not _number(value, key).is_integer():
         raise ContractError(f"{key} must be an integer, not {value!r}")
     return int(value)
+
+
+def _seed(value, key: str = "seed") -> int:
+    """A generator seed as an int: an integer >= 0."""
+    seed = _integer(value, key)
+    if seed < 0:
+        raise ContractError(f"{key} must be >= 0, not {seed}")
+    return seed
 
 
 def _counts(value, key: str) -> tuple[int, ...]:
@@ -302,7 +312,7 @@ class SchoenbergSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "sphere_dim", _sphere_degree(self.sphere_dim, 0, "sphere_dim")[0])
-        coeffs = np.array(np.atleast_1d(self.coeffs), dtype=float)
+        coeffs = _number(self.coeffs, "coeffs", array=True)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
@@ -551,7 +561,6 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
     if variant == "exponential":
         return ExponentialKernel(sigma=_number(obj["sigma"], "sigma"), beta=_number(obj["beta"], "beta"))
     if variant == "schoenberg":
-        coeffs = _number(obj["coeffs"], "coeffs", array=True)
-        return SchoenbergKernel(SchoenbergSpectrum(_integer(obj["d"], "d"), coeffs))
+        return SchoenbergKernel(SchoenbergSpectrum(obj["d"], obj["coeffs"]))
     raise ContractError(f"unknown kernel variant {variant!r}")
 

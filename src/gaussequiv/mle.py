@@ -23,6 +23,7 @@ so it is the combination whose RMSE should shrink.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -36,8 +37,8 @@ from ._markov import MARKOV_KERNELS, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
-from .kernels import _counts, _integer, _number, _pair
-from .designs import _halton, equispaced_interval_design
+from .kernels import _counts, _integer, _number, _pair, _seed
+from .designs import _halton, _interval, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
 __all__ = [
@@ -59,7 +60,7 @@ PENALTY = 1e10
 
 @dataclass(frozen=True, eq=False)
 class ParamSpace:
-    """Box constraints, componentwise lower < upper."""
+    """Box constraints, componentwise 0 < lower < upper < inf: the fits search the box on the log scale."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -71,8 +72,8 @@ class ParamSpace:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ContractError("lower and upper bounds must be vectors of equal length")
-        if not np.all(lower < upper):
-            raise ContractError("box must satisfy lower < upper componentwise")
+        if not np.all((0 < lower) & (lower < upper) & (upper < np.inf)):
+            raise ContractError("box must satisfy 0 < lower < upper < inf componentwise")
 
     @property
     def p(self) -> int:
@@ -165,8 +166,6 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
 
 
 def _box_map(space: ParamSpace):
-    if np.any(space.lower <= 0):
-        raise ContractError("log transform requires strictly positive lower bounds")
     lo, hi = np.log(space.lower), np.log(space.upper)
     return lambda u: np.exp(lo + (hi - lo) * expit(u))
 
@@ -218,15 +217,17 @@ def fit_mle(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for the exponential-kernel consistency experiment."""
+    """Settings for the exponential-kernel consistency experiment.
+
+    ``box`` is the parameter box of the fits, ``[[lo_sigma, lo_beta], [hi_sigma, hi_beta]]``.
+    """
 
     n_grid: tuple[int, ...]
     replicates: int
     seed: int
     theta0: tuple[float, float] = (1.0, 1.0)
     domain: tuple[float, float] = (0.0, 1.0)
-    box_lower: tuple[float, float] = (0.05, 0.05)
-    box_upper: tuple[float, float] = (20.0, 20.0)
+    box: tuple[tuple[float, float], tuple[float, float]] = ((0.05, 0.05), (20.0, 20.0))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     # kept only so that callers passing ``workers=1`` still construct
     workers: int = 1
@@ -236,8 +237,15 @@ class ExperimentConfig:
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         if self.replicates < 20:
             raise ContractError("experiment needs at least 20 replicates")
-        for name in ("theta0", "domain", "box_lower", "box_upper"):
-            object.__setattr__(self, name, _pair(getattr(self, name), name))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "theta0", _pair(self.theta0, "theta0"))
+        ExponentialKernel(*self.theta0)
+        object.__setattr__(self, "domain", _interval(self.domain))
+        box = _number(self.box, "box", array=True)
+        if box.shape != (2, 2):
+            raise ContractError(f"box must hold two rows of two numbers, not {reprlib.repr(self.box)}")
+        ParamSpace(*box)
+        object.__setattr__(self, "box", tuple(map(tuple, box.tolist())))
         if self.workers != 1:
             raise ContractError("workers must be 1: replicate fits run serially")
 
@@ -252,7 +260,6 @@ class ConsistencyReport:
     rmse_microergodic: np.ndarray
     failed: tuple[int, ...]
     replicates: int
-    seed: int
 
 
 def _exponential_family(theta: np.ndarray) -> CovarianceKernel:
@@ -272,12 +279,11 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     counted.
     """
     sigma0, beta0 = config.theta0
-    space = ParamSpace(np.array(config.box_lower), np.array(config.box_upper))
+    kernel0, space = ExponentialKernel(sigma0, beta0), ParamSpace(*config.box)
     rows, failed = [], []
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
-        g0 = gram(ExponentialKernel(sigma=sigma0, beta=beta0), design)
-        batch = sample_paths(g0, config.replicates, derive_seed(config.seed, n))
+        batch = sample_paths(gram(kernel0, design), config.replicates, derive_seed(config.seed, n))
         ok = []
         for y in batch.samples:
             problem = LikelihoodProblem(family=_exponential_family, design=design, data=y)
@@ -297,7 +303,6 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
         rmse_microergodic=rmse_m,
         failed=tuple(failed),
         replicates=config.replicates,
-        seed=config.seed,
     )
 
 

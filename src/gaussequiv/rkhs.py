@@ -7,33 +7,17 @@ the cached triangular factor of the Gram matrix; no inverse is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
-from .kernels import Design, GramMatrix, _require_symmetric
+from .kernels import GramMatrix, _require_symmetric
 
 __all__ = [
-    "FiniteFunction",
     "rkhs_inner",
     "rkhs_norm",
     "reproducing_check",
     "tensor_norm_finite",
 ]
-
-@dataclass(frozen=True, eq=False)
-class FiniteFunction:
-    """A function known through its values on a design."""
-
-    design: Design
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values, dtype=float)))
-        if self.values.ndim != 1 or len(self.values) != len(self.design):
-            raise ContractError("value vector length must match the design size")
-
 
 def _check_vector(g: GramMatrix, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -49,23 +33,22 @@ def rkhs_inner(g: GramMatrix, v, w) -> float:
     return float(a @ b)
 
 
-def rkhs_norm(g: GramMatrix, f: FiniteFunction) -> float:
-    """RKHS norm of a finite function, ``sqrt(f' R(n)^{-1} f)``."""
-    a = g.half_solve(_check_vector(g, f.values))
+def rkhs_norm(g: GramMatrix, v) -> float:
+    """RKHS norm ``sqrt(v' R(n)^{-1} v)`` of the function with values ``v`` on the design."""
+    a = g.half_solve(_check_vector(g, v))
     return float(np.sqrt(a @ a))
 
 
-def reproducing_check(g: GramMatrix, f: FiniteFunction, i: int) -> float:
-    """Residual ``|<f, R(., t_i)> - f(t_i)|`` of the reproducing identity.
+def reproducing_check(g: GramMatrix, v, i: int) -> float:
+    """Residual ``|<v, R(., t_i)> - v[i]|`` of the reproducing identity for values ``v`` on the design.
 
     The i-th representer restricted to the design is the i-th column of the
     Gram matrix, so the residual is pure solver error; well-conditioned
-    matrices keep it below 1e-9 * (1 + |f(t_i)|).
+    matrices keep it below 1e-9 * (1 + |v[i]|).
     """
     if not 0 <= i < g.n:
         raise ContractError("representer index out of range")
-    col = g.entries[:, i]
-    return abs(rkhs_inner(g, f.values, col) - float(f.values[i]))
+    return abs(rkhs_inner(g, v, g.entries[:, i]) - float(v[i]))
 
 
 def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:

@@ -149,6 +149,8 @@ class PowerLawRatio(RatioModel):
     s: float
 
     def __post_init__(self):
+        for name in ("c", "s"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not (-1.0 < self.c < math.inf and math.isfinite(self.s)):
             raise ContractError("power ratio needs finite s and finite c > -1 (positive coefficients)")
 
@@ -173,6 +175,7 @@ class ConstantRatio(RatioModel):
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha"))
         if not 0.0 < self.alpha < math.inf:
             raise ContractError("constant ratio must be finite and strictly positive")
 
@@ -193,23 +196,28 @@ def ratio_model_from_json(obj: dict) -> RatioModel:
     except (TypeError, KeyError):
         raise ContractError("ratio model must be an object with a 'type' key")
     if kind == "power":
-        return PowerLawRatio(c=_number(obj["c"], "c"), s=_number(obj["s"], "s"))
+        return PowerLawRatio(c=obj["c"], s=obj["s"])
     if kind == "constant":
-        return ConstantRatio(alpha=_number(obj["alpha"], "alpha"))
+        return ConstantRatio(alpha=obj["alpha"])
     raise ContractError(f"unknown ratio model type {kind!r}")
+
+
+def _last_degree(last_k) -> int:
+    """The last degree K of a sphere sum or spectrum, an integer >= 0."""
+    last_k = _integer(last_k, "K")
+    if last_k < 0:
+        raise ContractError(f"K must be nonnegative, not {last_k}")
+    return last_k
 
 
 def spectra_from_ratio_model(
     model: RatioModel, sphere_dim: int, last_k: int
 ) -> tuple[SchoenbergSpectrum, SchoenbergSpectrum]:
     """Spectra (a1, a2) with a2 = 1 and a1 = ratio(k), for degrees 0..K = ``last_k``."""
-    last_k = _integer(last_k, "K")
+    last_k = _last_degree(last_k)
     ks = np.arange(last_k + 1)
     a2 = np.ones(last_k + 1)
-    a1 = model.ratio(ks)
-    if np.any(a1 < 0):
-        raise ContractError("ratio model produced negative coefficients")
-    return SchoenbergSpectrum(sphere_dim, a1), SchoenbergSpectrum(sphere_dim, a2)
+    return SchoenbergSpectrum(sphere_dim, model.ratio(ks)), SchoenbergSpectrum(sphere_dim, a2)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +265,7 @@ def sphere_equivalence_sum(
     """
     if s1.sphere_dim != s2.sphere_dim:
         raise ContractError("spectra must share the sphere dimension")
-    last_k = _integer(last_k, "K")
-    if last_k < 0:
-        raise ContractError("K must be nonnegative")
+    last_k = _last_degree(last_k)
     a1 = _pad(s1.coeffs, last_k + 1)
     a2 = _pad(s2.coeffs, last_k + 1)
     only_one = (a1 > 0) != (a2 > 0)

@@ -31,7 +31,7 @@ def failing_experiment(config):
     """A stand-in for ``microergodic_experiment``: 15 of 40 fits failed."""
     ones = np.array([1.0, 1.0])
     return ConsistencyReport(
-        n_grid=(6, 10), rmse_sigma2=ones, rmse_beta=ones, rmse_microergodic=ones, failed=(10, 5), replicates=20, seed=5
+        n_grid=(6, 10), rmse_sigma2=ones, rmse_beta=ones, rmse_microergodic=ones, failed=(10, 5), replicates=20
     )
 
 
@@ -203,6 +203,14 @@ class TestSphere:
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == code
         if code:
             assert "K must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last_k", [-1, -5])
+    def test_negative_degree_of_ratio_model_exit_code(self, tmp_path, capsys, last_k):
+        config = {"sphere_dim": 3, "K": last_k, "ratio_model": {"type": "power", "c": 1.0, "s": 2.0}}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "K must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_ratio_model_exit_code(self, tmp_path):
         cfg = write_config(
@@ -435,6 +443,16 @@ class TestMle:
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "transform" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "box", [5, [[0.0, 0.05], [20.0, 20.0]], [[0.05, 0.05], [1.0, 1.0], [20.0, 20.0]]]
+    )
+    def test_box_error_names_box(self, tmp_path, capsys, box):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, box=box))
+        out = tmp_path / "out"
+        assert run(["mle", "--config", cfg, "--out", out]) == 2
+        assert "invalid config: box must" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_optimizer_not_object_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", dict(self.CONFIG, optimizer=[]))

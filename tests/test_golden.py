@@ -142,7 +142,7 @@ PUBLIC_NAMES = [
     "AtomMismatchError", "AtomicSpectralMeasure", "BrownianKernel", "ConsistencyReport",
     "ConstantRatio", "ContractError", "CovarianceKernel", "CriterionResult", "Design",
     "DichotomyVerdict", "DivergenceTrace", "ExperimentConfig", "ExponentialKernel",
-    "FiniteFunction", "Geometry", "GramMatrix", "LikelihoodProblem", "MLEResult",
+    "Geometry", "GramMatrix", "LikelihoodProblem", "MLEResult",
     "OptimizationFailedError", "OptimizerConfig", "ParamSpace", "PowerLawRatio", "RatioModel",
     "SampleBatch", "SchoenbergKernel", "SchoenbergSpectrum", "SingularGramError", "Verdict",
     "VerdictLabel", "atomic_measure_from_spectrum", "batch_to_csv", "check_shared_atoms",

@@ -330,6 +330,18 @@ class TestSchoenbergSpectrum:
         with pytest.raises(ContractError):
             SchoenbergSpectrum(3, np.array([1.0, -0.1]))
 
+    @pytest.mark.parametrize(
+        "coeffs", [["1.5", "2"], [True, 0.5], [1.0, None], np.array([True, False]), np.array([1.0 + 0j])]
+    )
+    def test_coeffs_are_json_numbers(self, coeffs):
+        with pytest.raises(ContractError, match="coeffs must be an array of JSON numbers"):
+            SchoenbergSpectrum(3, coeffs)
+
+    def test_numeric_arrays_read_unscanned(self):
+        read = SchoenbergSpectrum(3, np.array([2, 0, 1]))
+        np.testing.assert_array_equal(read.coeffs, SchoenbergSpectrum(3, [2.0, 0.0, 1.0]).coeffs)
+        assert read.coeffs.dtype == float and not read.coeffs.flags.writeable
+
     def test_sphere_dim_follows_the_integer_rule(self):
         read, exact = SchoenbergSpectrum(3.0, [1.0, 0.5]), SchoenbergSpectrum(3, [1.0, 0.5])
         assert type(read.sphere_dim) is int
@@ -391,6 +403,6 @@ class TestKernelJson:
         np.testing.assert_array_equal(design.coords, [[1.0], [2.0], [3.0]])
 
     def test_non_integral_sphere_dimension_rejected(self):
-        with pytest.raises(ContractError, match="d must be an integer"):
+        with pytest.raises(ContractError, match="sphere_dim must be an integer"):
             kernel_from_json({"variant": "schoenberg", "d": 3.5, "coeffs": [1.0]})
         assert kernel_from_json({"variant": "schoenberg", "d": 3.0, "coeffs": [1.0]}).spectrum.sphere_dim == 3

@@ -260,6 +260,15 @@ class TestFitMle:
             fit_mle(problem, ParamSpace([-1.0, 0.05], [20.0, 20.0]))
 
 
+def pair_setting(key, value):
+    """``value`` as the pair ``key``; ``box_lower`` and ``box_upper`` are the two rows of ``box``."""
+    if key == "box_lower":
+        return {"box": (value, (20.0, 20.0))}
+    if key == "box_upper":
+        return {"box": ((0.05, 0.05), value)}
+    return {key: value}
+
+
 class TestMicroergodicExperiment:
     def test_small_experiment(self, tmp_path):
         config = ExperimentConfig(
@@ -301,15 +310,34 @@ class TestMicroergodicExperiment:
         report_to_csv(report, path)
         assert path.read_text().splitlines()[2] == "12,nan,nan,nan,20"
 
-    def test_fractional_seed_rejected_before_any_fit(self, monkeypatch):
-        # derive_seed rejects the seed before the first fit
-        def no_fit(*args):
-            raise AssertionError("fit_mle called")
-
-        monkeypatch.setattr("gaussequiv.mle.fit_mle", no_fit)
-        config = ExperimentConfig(n_grid=(8, 12), replicates=20, seed=7.5)
+    def test_fractional_seed_rejected_before_any_fit(self):
+        # the config reads its seed when built, so no experiment can start with it
         with pytest.raises(ContractError, match="seed must be an integer"):
-            microergodic_experiment(config)
+            ExperimentConfig(n_grid=(8, 12), replicates=20, seed=7.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"box": ((0.0, 0.05), (20.0, 20.0))}, "box"),
+            ({"box": ((30.0, 0.05), (20.0, 20.0))}, "box"),
+            ({"box": ((0.05, 0.05), (math.inf, 20.0))}, "box"),
+            ({"box": 5}, "box"),
+            ({"box": ((0.05, 0.05), (1.0, 1.0), (20.0, 20.0))}, "box"),
+            ({"box": ((0.05,), (20.0,))}, "box"),
+            ({"theta0": (-1.0, 1.0)}, "sigma"),
+            ({"theta0": (1.0, 0.0)}, "beta"),
+            ({"domain": (1.0, 0.0)}, "domain"),
+        ],
+    )
+    def test_settings_checked_when_built(self, kwargs, name):
+        with pytest.raises(ContractError, match=f"{name} must"):
+            ExperimentConfig(**{"n_grid": (10, 20), "replicates": 20, "seed": 1, **kwargs})
+
+    def test_box_read_as_nested_tuples(self):
+        config = ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, box=np.array([[1, 1], [2, 3]]))
+        assert config.box == ((1.0, 1.0), (2.0, 3.0))
+        assert config == ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, box=[[1.0, 1.0], [2.0, 3.0]])
 
     def test_workers_other_than_one_rejected(self):
         ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, workers=1)
@@ -337,14 +365,17 @@ class TestMicroergodicExperiment:
     @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
     @pytest.mark.parametrize("value", [(1.0,), (0.5, 1.0, 2.0), 1.0])
     def test_pairs_must_have_length_two(self, key, value):
-        with pytest.raises(ContractError, match=f"{key} must have length 2"):
-            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **{key: value})
+        # a box row of another length makes the box ragged, which is no array of numbers
+        match = "box must be an array of JSON numbers" if key.startswith("box") else f"{key} must have length 2"
+        with pytest.raises(ContractError, match=match):
+            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **pair_setting(key, value))
 
     @pytest.mark.parametrize("key", ["theta0", "domain", "box_lower", "box_upper"])
     @pytest.mark.parametrize("value", [("a", 1), (True, 1.0)], ids=["str", "bool"])
     def test_pairs_are_json_numbers(self, key, value):
-        with pytest.raises(ContractError, match=f"{key} must be an array of JSON numbers"):
-            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **{key: value})
+        name = key.split("_")[0]
+        with pytest.raises(ContractError, match=f"{name} must be an array of JSON numbers"):
+            ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, **pair_setting(key, value))
 
     def test_integral_pairs_read_as_floats(self):
         config = ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, domain=[0, 2], theta0=np.array([1, 3]))

@@ -109,6 +109,11 @@ class TestSeedDerivation:
             with pytest.raises(ContractError, match="must be an integer"):
                 derive_seed(base, part)
 
+    @pytest.mark.parametrize("base, part", [(-1, 3), (7, -1)])
+    def test_negative_seed_rejected(self, base, part):
+        with pytest.raises(ContractError, match="must be >= 0"):
+            derive_seed(base, part)
+
 
 class TestCsvExport:
     def test_one_replicate_per_row(self, tmp_path):

@@ -104,6 +104,9 @@ class TestSphereEquivalenceSum:
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
         with pytest.raises(ContractError, match="K must be an integer"):
             spectra_from_ratio_model(model, 3, 4.5)
+        for last_k in (-1, -5):
+            with pytest.raises(ContractError, match="K must be nonnegative"):
+                spectra_from_ratio_model(model, 3, last_k)
 
     def test_dimension_mismatch(self):
         s1 = SchoenbergSpectrum(3, np.array([1.0]))
@@ -317,6 +320,14 @@ class TestInputValidation:
     def test_power_ratio_nonfinite_rejected(self, c, s):
         with pytest.raises(ContractError):
             PowerLawRatio(c=c, s=s)
+
+    @pytest.mark.parametrize(
+        "model, args, name",
+        [(PowerLawRatio, (True, 2.0), "c"), (PowerLawRatio, (1.0, "2"), "s"), (ConstantRatio, (True,), "alpha")],
+    )
+    def test_ratio_parameters_are_json_numbers(self, model, args, name):
+        with pytest.raises(ContractError, match=f"{name} must be a JSON number"):
+            model(*args)
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.5])
     def test_tail_weight_bound_rejected(self, bound):
