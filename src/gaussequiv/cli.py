@@ -31,7 +31,7 @@ from .designs import (
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
 from .errors import AtomMismatchError, ContractError, OptimizationFailedError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, _seed, gram, kernel_from_json
+from .kernels import Design, SchoenbergSpectrum, _integer, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
 from .sampler import batch_to_csv, sample_paths
 from .spectral import (
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         config_bytes = Path(args.config).read_bytes()
         config = _object(json.loads(config_bytes), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
-        seed = None if seed is None else _seed(seed)
+        seed = None if seed is None else _integer(seed, "seed", 0)
         if seed is None and args.subcommand in ("sample", "mle"):
             raise ContractError(f"{args.subcommand} requires a seed (config key 'seed' or --seed)")
         outputs = args.handler(config, seed, args)

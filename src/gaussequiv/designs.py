@@ -63,9 +63,9 @@ def dyadic_interval_points(max_size: int, domain: tuple[float, float] = (0.0, 1.
     each level appending the new odd multiples.  Excluding the left endpoint
     keeps Brownian Gram matrices nonsingular.
     """
-    max_size = _integer(max_size, "max_size")
-    if max_size < 2 or max_size & (max_size - 1):
-        raise ContractError("dyadic design size must be a power of two, >= 2")
+    max_size = _integer(max_size, "max_size", 2)
+    if max_size & (max_size - 1):
+        raise ContractError(f"max_size must be a power of two, not {max_size}")
     a, b = _interval(domain)
     levels = (np.arange(1, 2**l, 2) * 0.5**l for l in range(2, max_size.bit_length()))
     return a + (b - a) * np.concatenate([[0.5, 1.0], *levels])
@@ -80,9 +80,7 @@ def dyadic_interval_designs(max_size: int, domain: tuple[float, float] = (0.0, 1
 
 def equispaced_interval_design(n: int, domain: tuple[float, float] = (0.0, 1.0)) -> Design:
     """n equispaced points spanning [a, b], endpoints included."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ContractError("design size must be >= 1")
+    n = _integer(n, "n", 1)
     a, b = _interval(domain)
     return Design.interval(np.linspace(a, b, n))
 
@@ -95,11 +93,7 @@ def sphere_sequence(n: int, sphere_dim: int = 3) -> np.ndarray:
     other d, a Halton sequence is pushed through the inverse normal CDF and
     normalized, which is quasi-uniform on the sphere for any dimension.
     """
-    n, sphere_dim = _integer(n, "n"), _integer(sphere_dim, "sphere_dim")
-    if n < 1:
-        raise ContractError("need at least one point")
-    if sphere_dim < 2:
-        raise ContractError("sphere ambient dimension must be >= 2")
+    n, sphere_dim = _integer(n, "n", 1), _integer(sphere_dim, "sphere_dim", 2)
     if sphere_dim == 3:
         z = 1.0 - 2.0 * _halton(n, 1)[:, 0]
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

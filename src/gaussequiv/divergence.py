@@ -32,7 +32,7 @@ from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
 from .designs import is_prefix_nested
 from .errors import ContractError
-from .kernels import CovarianceKernel, Design, GramMatrix, gram, require_geometry
+from .kernels import CovarianceKernel, Design, GramMatrix, _array, gram, require_geometry
 
 __all__ = [
     "DivergenceTrace",
@@ -55,10 +55,7 @@ SLOPE_FRACTION = 0.05
 
 def gaussian_logpdf(g: GramMatrix, y) -> float:
     """Log-density of the centered Gaussian with covariance ``g`` at ``y``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n,):
-        raise ContractError(f"observation vector must have length {g.n}")
-    w = g.half_solve(y)
+    w = g.half_solve(_array(y, "y", (g.n,)))
     return -0.5 * float(w @ w) - 0.5 * g.log_det - 0.5 * g.n * LOG_2PI
 
 

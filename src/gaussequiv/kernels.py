@@ -54,13 +54,17 @@ _BLOCK_ENTRIES = 1 << 14
 
 def _number(value, key: str, array: bool = False):
     """A JSON number as a float; with ``array``, JSON numbers nested in lists
-    as a float ndarray whose shape the caller checks.
+    as a new float ndarray of any shape (:func:`_array` checks the shape).
 
     ``bool``, ``str`` and ``null`` are not numbers, although ``float()`` and
     numpy read all three.  The leaf types are tested as one set, so a long
     list costs no Python call per entry.  A numeric ndarray can hold none of
     the three, so its entries are not scanned.
     """
+    # a float is one already: a fit builds an ExponentialKernel, which reads
+    # sigma and beta, on every likelihood evaluation
+    if type(value) is float and not array:
+        return value
     numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
     leaves = value if numeric else np.array(value, dtype=object)
     types = () if numeric else set(map(type, leaves.flat))
@@ -73,37 +77,41 @@ def _number(value, key: str, array: bool = False):
         raise ContractError(f"{key} is too large for a float") from None
 
 
-def _integer(value, key: str) -> int:
-    """A count as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
-    if not _number(value, key).is_integer():
-        raise ContractError(f"{key} must be an integer, not {value!r}")
-    return int(value)
+def _array(value, key: str, shape: tuple) -> np.ndarray:
+    """JSON numbers nested in lists as a new float ndarray of ``shape``, where
+    ``None`` (``*`` in errors) marks an axis of any length."""
+    a = _number(value, key, array=True)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise ContractError(f"{key} must have shape {str(shape).replace('None', '*')}, not {a.shape}")
+    return a
 
 
-def _seed(value, key: str = "seed") -> int:
-    """A generator seed as an int: an integer >= 0."""
-    seed = _integer(value, key)
-    if seed < 0:
-        raise ContractError(f"{key} must be >= 0, not {seed}")
-    return seed
+def _integer(value, key: str, least: int) -> int:
+    """A count >= ``least`` as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
+    # an int below 2**1023, which a float holds, needs no scan:
+    # harmonic_dimensions reads one degree per term
+    if type(value) is not int or value.bit_length() > 1023:
+        if not _number(value, key).is_integer():
+            raise ContractError(f"{key} must be an integer, not {value!r}")
+        value = int(value)
+    if value < least:
+        raise ContractError(f"{key} must be >= {least}, not {value}")
+    return value
 
 
 def _counts(value, key: str) -> tuple[int, ...]:
     """A nonempty, strictly increasing list of counts >= 1 as a tuple of ints."""
     if _number(value, key, array=True).ndim != 1 or len(value) == 0:
         raise ContractError(f"{key} must be a nonempty list of counts, not {reprlib.repr(value)}")
-    counts = tuple(_integer(n, key) for n in value)
-    if counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+    counts = tuple(_integer(n, key, 1) for n in value)
+    if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ContractError(f"{key} must be strictly increasing counts >= 1, not {counts}")
     return counts
 
 
 def _pair(value, key: str) -> tuple[float, float]:
     """Exactly two JSON numbers as a tuple of floats."""
-    pair = _number(value, key, array=True)
-    if pair.shape != (2,):
-        raise ContractError(f"{key} must have length 2, not {reprlib.repr(value)}")
-    return tuple(pair.tolist())
+    return tuple(_array(value, key, (2,)).tolist())
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,10 @@ class Geometry:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.kind not in ("euclidean", "sphere"):
             raise ContractError(f"unknown geometry kind {self.kind!r}")
-        if self.dim < 1:
-            raise ContractError("geometry dimension must be >= 1")
-        if self.kind == "sphere" and self.dim < 2:
-            raise ContractError("sphere geometry needs ambient dimension >= 2")
+        # the smallest sphere, S^1, lies in R^2
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2 if self.kind == "sphere" else 1))
 
 
 def _points_array(points, geometry: Geometry) -> np.ndarray:
@@ -131,16 +136,12 @@ def _points_array(points, geometry: Geometry) -> np.ndarray:
     :class:`ContractError`, as do non-finite coordinates and spherical
     points off the unit sphere.
     """
-    try:
-        coords = np.array(points, dtype=float)
-    except ValueError:
-        raise ContractError("design points must all have the same dimension") from None
-    if coords.size == 0:
-        raise ContractError("design must contain at least one point")
+    coords = _number(points, "points", array=True)
     if coords.ndim == 1 and geometry.dim == 1:
         coords = coords[:, None]
-    if coords.ndim != 2 or coords.shape[1] != geometry.dim:
-        raise ContractError(f"points must form an (n, {geometry.dim}) array, not {coords.shape}")
+    coords = _array(coords, "points", (None, geometry.dim))
+    if len(coords) == 0:
+        raise ContractError("design must contain at least one point")
     if not np.all(np.isfinite(coords)):
         raise ContractError("design points must be finite")
     if geometry.kind == "sphere":
@@ -187,9 +188,7 @@ class Design:
     @staticmethod
     def on_sphere(coords: np.ndarray) -> "Design":
         """Design from an (n, d) array of unit vectors."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2:
-            raise ContractError("sphere design expects an (n, d) array")
+        coords = _array(coords, "coords", (None, None))
         return Design(coords, Geometry("sphere", coords.shape[1]))
 
     def to_json(self) -> dict:
@@ -201,7 +200,7 @@ class Design:
     @staticmethod
     def from_json(obj: dict) -> "Design":
         geom = Geometry(obj["geometry"]["kind"], obj["geometry"]["dim"])
-        return Design(_number(obj["points"], "points", array=True), geom)
+        return Design(obj["points"], geom)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,7 @@ class Design:
 
 def _sphere_degree(d, k, key: str = "d") -> tuple[int, int]:
     """The counts ``(d, k)``: a sphere S^{d-1} with d >= 3, named ``key`` in errors, and a degree k >= 0."""
-    d, k = _integer(d, key), _integer(k, "degree")
-    if d < 3:
-        raise ContractError(f"{key} must be >= 3, not {d}")
-    if k < 0:
-        raise ContractError(f"degree must be nonnegative, not {k}")
-    return d, k
+    return _integer(d, key, 3), _integer(k, "degree", 0)
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -232,8 +226,7 @@ def harmonic_dimension(d: int, k: int) -> int:
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
     """Vector of harmonic dimensions for degrees 0..max_degree."""
     d, last = _sphere_degree(d, max_degree)
-    h = [math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1) for k in range(last + 1)]
-    return np.array(h, dtype=float)
+    return np.array([harmonic_dimension(d, k) for k in range(last + 1)], dtype=float)
 
 
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
@@ -256,12 +249,11 @@ def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
         Arguments in [-1, 1] (a slack of 1e-12 is clamped).
     """
     d, k = _sphere_degree(d, k)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
-    if np.max(np.abs(xa)) > 1.0 + 1e-12:
+    x = _number(x, "x", array=True)
+    if np.max(np.abs(x)) > 1.0 + 1e-12:
         raise ContractError("Gegenbauer argument must lie in [-1, 1]")
-    g = next(islice(_gegenbauer_terms(d, np.clip(xa, -1.0, 1.0)), k, None))
-    return float(g) if scalar else g
+    g = next(islice(_gegenbauer_terms(d, np.clip(x, -1.0, 1.0)), k, None))
+    return float(g) if x.ndim == 0 else g
 
 
 def _gegenbauer_terms(d: int, x: np.ndarray) -> Iterator[np.ndarray]:
@@ -312,11 +304,11 @@ class SchoenbergSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "sphere_dim", _sphere_degree(self.sphere_dim, 0, "sphere_dim")[0])
-        coeffs = _number(self.coeffs, "coeffs", array=True)
+        coeffs = _array(self.coeffs, "coeffs", (None,))
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
-            raise ContractError("coefficients must form a nonempty 1-d sequence")
+        if len(self.coeffs) == 0:
+            raise ContractError("coeffs must hold at least one coefficient")
         if not np.all(np.isfinite(self.coeffs)):
             raise ContractError("coefficients must be finite")
         if np.any(self.coeffs < 0):
@@ -354,10 +346,13 @@ class CovarianceKernel(ABC):
         """
 
 
-def _require_sigma(sigma: float) -> None:
+def _sigma(sigma) -> float:
+    """``sigma`` read as a JSON number, once it is checked to be > 0 with a finite square."""
+    sigma = _number(sigma, "sigma")
     # sigma * sigma overflows to inf where sigma**2 raises OverflowError
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
         raise ContractError("sigma must be finite and strictly positive, with a finite square")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -368,7 +363,7 @@ class BrownianKernel(CovarianceKernel):
     geometry = Geometry("euclidean", 1)
 
     def __post_init__(self):
-        _require_sigma(self.sigma)
+        object.__setattr__(self, "sigma", _sigma(self.sigma))
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = _half_line(coords[:, 0])
@@ -391,7 +386,8 @@ class ExponentialKernel(CovarianceKernel):
     geometry = Geometry("euclidean", 1)
 
     def __post_init__(self):
-        _require_sigma(self.sigma)
+        object.__setattr__(self, "sigma", _sigma(self.sigma))
+        object.__setattr__(self, "beta", _number(self.beta, "beta"))
         # math.isfinite, not numpy: an ExponentialKernel is built on every
         # likelihood evaluation of a fit
         if not (self.beta > 0 and math.isfinite(self.beta)):
@@ -484,7 +480,7 @@ def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
         If the matrix is not numerically positive definite; the error
         carries the zero-based index of the failing pivot.
     """
-    return _factor(np.array(entries, dtype=float))
+    return _factor(_array(entries, "entries", (None, None)))
 
 
 def _require_symmetric(a: np.ndarray, what: str) -> None:
@@ -557,9 +553,9 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
     except (TypeError, KeyError):
         raise ContractError("kernel description must be an object with a 'variant' key")
     if variant == "brownian":
-        return BrownianKernel(sigma=_number(obj["sigma"], "sigma"))
+        return BrownianKernel(sigma=obj["sigma"])
     if variant == "exponential":
-        return ExponentialKernel(sigma=_number(obj["sigma"], "sigma"), beta=_number(obj["beta"], "beta"))
+        return ExponentialKernel(sigma=obj["sigma"], beta=obj["beta"])
     if variant == "schoenberg":
         return SchoenbergKernel(SchoenbergSpectrum(obj["d"], obj["coeffs"]))
     raise ContractError(f"unknown kernel variant {variant!r}")

@@ -23,7 +23,6 @@ so it is the combination whose RMSE should shrink.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -37,7 +36,7 @@ from ._markov import MARKOV_KERNELS, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
-from .kernels import _counts, _integer, _number, _pair, _seed
+from .kernels import _array, _counts, _integer, _number, _pair
 from .designs import _halton, _interval, equispaced_interval_design
 from .sampler import derive_seed, sample_paths
 
@@ -66,12 +65,11 @@ class ParamSpace:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = _array(self.lower, "lower", (None,))
+        upper = _array(self.upper, "upper", lower.shape)
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ContractError("lower and upper bounds must be vectors of equal length")
         if not np.all((0 < lower) & (lower < upper) & (upper < np.inf)):
             raise ContractError("box must satisfy 0 < lower < upper < inf componentwise")
 
@@ -89,9 +87,9 @@ class LikelihoodProblem:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.atleast_1d(np.asarray(self.data, dtype=float)))
-        if self.data.ndim != 1 or len(self.data) != len(self.design):
-            raise ContractError("data length must match the design size")
+        data = _array(self.data, "data", (len(self.design),))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @cached_property
     def _line_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -119,13 +117,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("starts", "max_evals"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         for name in ("tol_x", "tol_f"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
-        if self.starts < 1:
-            raise ContractError("need at least one start")
-        if self.max_evals < 1:
-            raise ContractError("max_evals must be >= 1")
         if not (0 <= self.tol_x < math.inf and 0 <= self.tol_f < math.inf):
             raise ContractError("tol_x and tol_f must be finite and >= 0")
 
@@ -234,16 +228,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _counts(self.n_grid, "n_grid"))
-        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
-        if self.replicates < 20:
-            raise ContractError("experiment needs at least 20 replicates")
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 20))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         object.__setattr__(self, "theta0", _pair(self.theta0, "theta0"))
         ExponentialKernel(*self.theta0)
         object.__setattr__(self, "domain", _interval(self.domain))
-        box = _number(self.box, "box", array=True)
-        if box.shape != (2, 2):
-            raise ContractError(f"box must hold two rows of two numbers, not {reprlib.repr(self.box)}")
+        box = _array(self.box, "box", (2, 2))
         ParamSpace(*box)
         object.__setattr__(self, "box", tuple(map(tuple, box.tolist())))
         if self.workers != 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .kernels import GramMatrix, _require_symmetric
+from .kernels import GramMatrix, _array, _integer, _require_symmetric
 
 __all__ = [
     "rkhs_inner",
@@ -19,23 +19,17 @@ __all__ = [
     "tensor_norm_finite",
 ]
 
-def _check_vector(g: GramMatrix, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (g.n,):
-        raise ContractError(f"expected a vector of length {g.n}")
-    return v
-
 
 def rkhs_inner(g: GramMatrix, v, w) -> float:
     """Inner product ``v' R(n)^{-1} w`` via two triangular solves."""
-    a = g.half_solve(_check_vector(g, v))
-    b = g.half_solve(_check_vector(g, w))
+    a = g.half_solve(_array(v, "v", (g.n,)))
+    b = g.half_solve(_array(w, "w", (g.n,)))
     return float(a @ b)
 
 
 def rkhs_norm(g: GramMatrix, v) -> float:
     """RKHS norm ``sqrt(v' R(n)^{-1} v)`` of the function with values ``v`` on the design."""
-    a = g.half_solve(_check_vector(g, v))
+    a = g.half_solve(_array(v, "v", (g.n,)))
     return float(np.sqrt(a @ a))
 
 
@@ -46,8 +40,9 @@ def reproducing_check(g: GramMatrix, v, i: int) -> float:
     Gram matrix, so the residual is pure solver error; well-conditioned
     matrices keep it below 1e-9 * (1 + |v[i]|).
     """
-    if not 0 <= i < g.n:
-        raise ContractError("representer index out of range")
+    v, i = _array(v, "v", (g.n,)), _integer(i, "i", 0)
+    if i >= g.n:
+        raise ContractError(f"i must be < {g.n}, not {i}")
     return abs(rkhs_inner(g, v, g.entries[:, i]) - float(v[i]))
 
 
@@ -61,10 +56,9 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
     non-decreasing under design nesting, so nested evaluations bracket the
     full-domain norm from below.
     """
-    d = np.asarray(diff, dtype=float)
-    if d.shape != (g1.n, g1.n):
-        raise ContractError("difference matrix shape must match the Gram size")
+    d = _array(diff, "diff", (g1.n, g1.n))
     _require_symmetric(d, "difference matrix")
-    m = g1.half_solve(d)
-    w = g1.half_solve(m.T)
+    # no name keeps the first solve, so with the copy of diff at most four
+    # n x n arrays are live at once
+    w = g1.half_solve(g1.half_solve(d).T)
     return float(np.sum(w * w))

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import ContractError
-from .kernels import GramMatrix, _integer, _seed
+from .kernels import GramMatrix, _integer
 
 __all__ = [
     "SampleBatch",
@@ -40,7 +40,7 @@ class SampleBatch:
 
 def derive_seed(base: int, *parts: int) -> int:
     """Deterministic sub-seed from a base seed and an integer path."""
-    ss = np.random.SeedSequence([_seed(base), *(_seed(p, "seed part") for p in parts)])
+    ss = np.random.SeedSequence([_integer(base, "seed", 0), *(_integer(p, "seed part", 0) for p in parts)])
     return int(ss.generate_state(1)[0])
 
 
@@ -50,9 +50,7 @@ def sample_paths(g: GramMatrix, m: int, seed: int) -> SampleBatch:
     Each replicate is ``L z`` with fresh standard normals z, so scaling the
     Gram by c^2 scales the batch by c exactly under the same seed.
     """
-    m, seed = _integer(m, "replicate count"), _seed(seed)
-    if m < 1:
-        raise ContractError("replicate count must be >= 1")
+    m, seed = _integer(m, "replicate count", 1), _integer(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z = rng.standard_normal((m, g.n))
     return SampleBatch(samples=z @ g.chol.T, seed=seed)

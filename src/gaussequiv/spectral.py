@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import AtomMismatchError, ContractError
-from .kernels import SchoenbergSpectrum, _integer, _number, harmonic_dimensions
+from .kernels import SchoenbergSpectrum, _array, _integer, _number, harmonic_dimensions
 
 __all__ = [
     "Verdict",
@@ -75,10 +75,8 @@ class AtomicSpectralMeasure:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not all(issubclass(t, str) for t in set(map(type, self.labels))):
             raise ContractError("atom labels must be JSON strings")
-        masses = np.atleast_1d(_number(self.masses, "mass", array=True))
-        dims = np.atleast_1d(_number(self.dims, "dim", array=True))
-        if not masses.shape == dims.shape == (len(self.labels),):
-            raise ContractError("masses and dims must be 1-D with one entry per label")
+        masses = _array(self.masses, "mass", (len(self.labels),))
+        dims = _array(self.dims, "dim", (len(self.labels),))
         if len(set(self.labels)) != len(self.labels):
             raise ContractError("atom labels must be unique")
         if not np.all((masses > 0) & (masses < math.inf)):
@@ -155,7 +153,7 @@ class PowerLawRatio(RatioModel):
             raise ContractError("power ratio needs finite s and finite c > -1 (positive coefficients)")
 
     def ratio(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
+        k = _number(k, "k", array=True)
         return 1.0 + self.c * (k + 1.0) ** (-self.s)
 
     def tail(self, power: float, scale: float, last: int) -> tuple[Verdict, float | None]:
@@ -202,19 +200,11 @@ def ratio_model_from_json(obj: dict) -> RatioModel:
     raise ContractError(f"unknown ratio model type {kind!r}")
 
 
-def _last_degree(last_k) -> int:
-    """The last degree K of a sphere sum or spectrum, an integer >= 0."""
-    last_k = _integer(last_k, "K")
-    if last_k < 0:
-        raise ContractError(f"K must be nonnegative, not {last_k}")
-    return last_k
-
-
 def spectra_from_ratio_model(
     model: RatioModel, sphere_dim: int, last_k: int
 ) -> tuple[SchoenbergSpectrum, SchoenbergSpectrum]:
     """Spectra (a1, a2) with a2 = 1 and a1 = ratio(k), for degrees 0..K = ``last_k``."""
-    last_k = _last_degree(last_k)
+    last_k = _integer(last_k, "K", 0)
     ks = np.arange(last_k + 1)
     a2 = np.ones(last_k + 1)
     return SchoenbergSpectrum(sphere_dim, model.ratio(ks)), SchoenbergSpectrum(sphere_dim, a2)
@@ -265,7 +255,7 @@ def sphere_equivalence_sum(
     """
     if s1.sphere_dim != s2.sphere_dim:
         raise ContractError("spectra must share the sphere dimension")
-    last_k = _last_degree(last_k)
+    last_k = _integer(last_k, "K", 0)
     a1 = _pad(s1.coeffs, last_k + 1)
     a2 = _pad(s2.coeffs, last_k + 1)
     only_one = (a1 > 0) != (a2 > 0)
@@ -295,9 +285,7 @@ def chow_sum(
     dimensions beyond ``n_atoms`` by ``tail_weight_bound`` (finite, >= 1;
     default the largest dimension summed).
     """
-    n_atoms = _integer(n_atoms, "N")
-    if n_atoms < 1:
-        raise ContractError("N must be >= 1")
+    n_atoms = _integer(n_atoms, "N", 1)
     if len(m1) < n_atoms or len(m2) < n_atoms:
         raise ContractError("both measures must list at least N atoms")
     for i in range(n_atoms):

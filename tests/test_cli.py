@@ -209,7 +209,7 @@ class TestSphere:
         config = {"sphere_dim": 3, "K": last_k, "ratio_model": {"type": "power", "c": 1.0, "s": 2.0}}
         cfg = write_config(tmp_path, "cfg.json", config)
         assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert "K must be nonnegative" in capsys.readouterr().err
+        assert f"K must be >= 0, not {last_k}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_nan_ratio_model_exit_code(self, tmp_path):

@@ -165,7 +165,7 @@ COUNT_LISTS = {
     [
         (6, "nonempty list of counts"),
         ([], "nonempty list of counts"),
-        ([0, 1], "strictly increasing counts >= 1"),
+        ([0, 1], ">= 1, not 0"),
         ([3, 3], "strictly increasing counts >= 1"),
         ([2.5], "an integer"),
         ([True], "array of JSON numbers"),

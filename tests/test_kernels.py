@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 
+import gaussequiv
 from gaussequiv import (
     BrownianKernel,
     ContractError,
@@ -182,9 +183,9 @@ class TestDesign:
                 Design.from_json({"geometry": geometry, "points": points})
 
     def test_sphere_needs_ambient_dimension_two(self):
-        with pytest.raises(ContractError, match="ambient dimension >= 2"):
+        with pytest.raises(ContractError, match="dim must be >= 2, not 1"):
             Geometry("sphere", 1)
-        with pytest.raises(ContractError, match="ambient dimension >= 2"):
+        with pytest.raises(ContractError, match="dim must be >= 2, not 1"):
             Design.from_json({"geometry": {"kind": "sphere", "dim": 1}, "points": [[1.0], [-1.0]]})
 
     def test_dimension_follows_the_integer_rule(self):
@@ -406,3 +407,37 @@ class TestKernelJson:
         with pytest.raises(ContractError, match="sphere_dim must be an integer"):
             kernel_from_json({"variant": "schoenberg", "d": 3.5, "coeffs": [1.0]})
         assert kernel_from_json({"variant": "schoenberg", "d": 3.0, "coeffs": [1.0]}).spectrum.sphere_dim == 3
+
+
+# every public call that takes a number or an array reads it as JSON numbers;
+# each array holds the bad entry at a valid shape, which numpy would coerce
+G2 = gram_from_matrix(np.eye(2))
+PUBLIC_INPUTS = {
+    "ParamSpace lower": ("lower", lambda bad: gaussequiv.ParamSpace([0.05, bad], [20.0, 20.0])),
+    "ParamSpace upper": ("upper", lambda bad: gaussequiv.ParamSpace([0.05, 0.05], [20.0, bad])),
+    "Design.interval": ("points", lambda bad: Design.interval([0.5, bad])),
+    "Design.on_sphere": ("coords", lambda bad: Design.on_sphere([[1.0, 0.0, 0.0], [0.0, 0.0, bad]])),
+    "rkhs_norm": ("v", lambda bad: gaussequiv.rkhs_norm(G2, [3.0, bad])),
+    "rkhs_inner v": ("v", lambda bad: gaussequiv.rkhs_inner(G2, [3.0, bad], [1.0, 1.0])),
+    "rkhs_inner w": ("w", lambda bad: gaussequiv.rkhs_inner(G2, [1.0, 1.0], [3.0, bad])),
+    "reproducing_check": ("i", lambda bad: gaussequiv.reproducing_check(G2, [1.0, 1.0], bad)),
+    "gaussian_logpdf": ("y", lambda bad: gaussequiv.gaussian_logpdf(G2, [0.5, bad])),
+    "tensor_norm_finite": ("diff", lambda bad: gaussequiv.tensor_norm_finite(G2, [[0.0, bad], [bad, 0.0]])),
+    "gram_from_matrix": ("entries", lambda bad: gram_from_matrix([[2.0, bad], [bad, 2.0]])),
+    "LikelihoodProblem": (
+        "data",
+        lambda bad: gaussequiv.LikelihoodProblem(lambda th: ExponentialKernel(*th), Design.interval([0.25, 0.5]), [0.5, bad]),
+    ),
+    "gegenbauer_normalized": ("x", lambda bad: gegenbauer_normalized(2, 3, bad)),
+    "ExponentialKernel sigma": ("sigma", lambda bad: ExponentialKernel(bad, 1.0)),
+    "ExponentialKernel beta": ("beta", lambda bad: ExponentialKernel(1.0, bad)),
+    "BrownianKernel": ("sigma", lambda bad: BrownianKernel(bad)),
+}
+
+
+@pytest.mark.parametrize("bad", ["1", True, None], ids=["str", "bool", "null"])
+@pytest.mark.parametrize("site", PUBLIC_INPUTS)
+def test_public_inputs_are_json_numbers(site, bad):
+    key, call = PUBLIC_INPUTS[site]
+    with pytest.raises(ContractError, match=f"^{key} must be"):
+        call(bad)

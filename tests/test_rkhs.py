@@ -111,6 +111,16 @@ class TestReproducingCheck:
             i = int(rng.integers(0, 5))
             assert reproducing_check(g, v, i) <= 1e-9 * (1 + abs(v[i]))
 
+    @pytest.mark.parametrize(
+        "i, message",
+        [(1.5, "i must be an integer"), (True, "i must be a JSON number"), (-1, "i must be >= 0"), (2, "i must be < 2")],
+        ids=["fraction", "bool", "negative", "past-the-end"],
+    )
+    def test_index_is_a_count_below_n(self, i, message):
+        # numpy would read True as a boolean index and reject 1.5 with an IndexError
+        with pytest.raises(ContractError, match=message):
+            reproducing_check(gram_from_matrix(np.eye(2)), [1.0, 2.0], i)
+
 
 class TestTensorNormFinite:
     def test_zero_difference(self, rng):

@@ -105,7 +105,7 @@ class TestSphereEquivalenceSum:
         with pytest.raises(ContractError, match="K must be an integer"):
             spectra_from_ratio_model(model, 3, 4.5)
         for last_k in (-1, -5):
-            with pytest.raises(ContractError, match="K must be nonnegative"):
+            with pytest.raises(ContractError, match=f"K must be >= 0, not {last_k}"):
                 spectra_from_ratio_model(model, 3, last_k)
 
     def test_dimension_mismatch(self):
