@@ -6,7 +6,8 @@ the exponential (Ornstein-Uhlenbeck) kernel are Markov:
 ``e_i ~ N(0, v_i)`` and ``e_0 = X_0``.  The precision matrix is therefore
 ``B' D^{-1} B`` with B bidiagonal, and a likelihood or a J-divergence on n
 points costs O(n) after sorting, with no Gram matrix.  Both read one AR(1)
-form (``_ar``), take the kernels of ``MARKOV_KERNELS`` and share one
+form (``_ar``, one row per kernel, so the likelihood of many points is one
+array computation), take the kernels of ``MARKOV_KERNELS`` and share one
 singular rule (``_require_positive``); the dense Gram path is their oracle.
 """
 
@@ -21,34 +22,41 @@ from .kernels import BrownianKernel, ExponentialKernel, _half_line
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# the likelihood at a singular covariance, on the Markov and the dense path alike
+PENALTY = 1e10
+
 # the exponential kernel first: it is the one the likelihood meets most
 MARKOV_KERNELS = (ExponentialKernel, BrownianKernel)
 
 
-def _ar(kernel: ExponentialKernel | BrownianKernel, t: np.ndarray, dt: np.ndarray):
-    """AR(1) form of a Markov kernel on sorted points ``t`` with increments ``dt``.
+def _ar(kernels, t: np.ndarray, dt: np.ndarray):
+    """AR(1) form of Markov kernels of one class on sorted points ``t`` with increments ``dt``.
 
-    Returns ``(prev_var, beta, v)``: ``rho_i = exp(-beta dt_i)`` is the
-    coefficient of ``X_{i-1}`` in ``X_i``, ``prev_var`` is ``R(t_{i-1}, t_{i-1})``
-    for i >= 1 and ``v[i]`` is the innovation variance, ``v[0] = R(t_0, t_0)``.
+    Returns ``(prev_var, beta, v)`` with one row per kernel: ``rho_i =
+    exp(-beta dt_i)`` is the coefficient of ``X_{i-1}`` in ``X_i``,
+    ``prev_var`` is ``R(t_{i-1}, t_{i-1})`` for i >= 1 and ``v[:, i]`` is the
+    innovation variance, ``v[:, 0] = R(t_0, t_0)``.  ``s^2`` is each kernel's
+    own ``sigma**2`` (Python's ``pow``, not numpy's ``x * x``), so a row is
+    the arithmetic of its kernel alone, bit for bit.
 
     - Exponential: ``prev_var = s^2``, ``v = [s^2, -s^2 expm1(-2 beta dt)]``;
       ``expm1`` keeps ``1 - rho^2`` from cancelling when ``beta dt`` is small.
     - Brownian: ``prev_var = s^2 t[:-1]``, ``beta = 0`` (so ``rho = 1``
       exactly), ``v = [s^2 t_0, s^2 dt]``.
     """
-    s2 = kernel.sigma**2
-    v = np.empty_like(t)
-    if isinstance(kernel, ExponentialKernel):
-        v[0] = s2
-        v[1:] = -s2 * np.expm1(-2.0 * kernel.beta * dt)
-        return s2, kernel.beta, v
+    s2 = np.array([[k.sigma**2] for k in kernels])
+    v = np.empty((len(kernels), len(t)))
+    if isinstance(kernels[0], ExponentialKernel):
+        beta = np.array([[k.beta] for k in kernels])
+        v[:, :1] = s2
+        v[:, 1:] = -s2 * np.expm1(-2.0 * beta * dt)
+        return s2, beta, v
     var = s2 * _half_line(t)
-    if not math.isfinite(var[-1]):
+    if not np.isfinite(var[:, -1]).all():
         raise ContractError("kernel variances overflow on this design")
-    v[0] = var[0]
-    v[1:] = s2 * dt
-    return var[:-1], 0.0, v
+    v[:, :1] = var[:, :1]
+    v[:, 1:] = s2 * dt
+    return var[:, :-1], 0.0, v
 
 
 def _sort_line(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,26 +96,41 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
         If an innovation variance is not positive; see ``_require_positive``.
     """
     order, ts, dt = _sort_line(t)
-    (var1, beta1, v1), (var2, beta2, v2) = _ar(k1, ts, dt), _ar(k2, ts, dt)
-    _require_positive(v1, order)
-    _require_positive(v2, order)
+    (var1, beta1, v1), (var2, beta2, v2) = _ar([k1], ts, dt), _ar([k2], ts, dt)
+    _require_positive(v1[0], order)
+    _require_positive(v2[0], order)
     decay1, decay2 = -np.expm1(-beta1 * dt), -np.expm1(-beta2 * dt)
     steps = (v1 - v2) ** 2 / (2.0 * v1 * v2)
-    steps[1:] += 0.5 * (decay1 - decay2) ** 2 * (var1 / v2[1:] + var2 / v1[1:])
+    steps[:, 1:] += 0.5 * (decay1 - decay2) ** 2 * (var1 / v2[:, 1:] + var2 / v1[:, 1:])
     j = float(np.sum(steps))
     if not math.isfinite(j):
         raise ContractError("kernel variances overflow on this design")
     return j
 
 
-def _markov_nll(kernel, order: np.ndarray, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> float:
-    """NLL of data ``y`` on sorted points ``t``, ``order`` as in ``_require_positive``.
+def _markov_nll(kernel, order: np.ndarray, t: np.ndarray, dt: np.ndarray, y: np.ndarray):
+    """NLL of data on sorted points ``t``, ``order`` as in ``_require_positive``.
 
     ``y_i`` given ``y_{i-1}`` is normal with mean ``rho_i y_{i-1}`` and
-    variance ``v_i``; a singular covariance raises as in the J.
+    variance ``v_i``.  With one kernel and one data row ``y`` the NLL is a
+    float and a singular covariance raises as in the J.  With a list of
+    kernels of one class and an ``(m, n)`` array ``y``, row i is the NLL of
+    ``y[i]`` under ``kernel[i]`` and reads ``PENALTY`` where that covariance
+    is singular.  A row costs the operations of the row alone, and
+    ``e·(e/v)`` is one BLAS dot per row (``einsum`` reorders the sum), so a
+    row of a batch equals its single call bit for bit.
     """
-    _, beta, v = _ar(kernel, t, dt)
-    _require_positive(v, order)
+    one = y.ndim == 1
+    _, beta, v = _ar([kernel] if one else kernel, t, dt)
+    singular = ~(v.min(axis=1) > 0)
+    if one:
+        _require_positive(v[0], order)
+    # a singular row reads PENALTY; 1 keeps its arithmetic quiet
+    v[singular] = 1.0
+    y = np.atleast_2d(y)
     e = y.copy()
-    e[1:] -= np.exp(-beta * dt) * y[:-1]
-    return 0.5 * float(e @ (e / v) + np.log(v).sum()) + 0.5 * len(y) * LOG_2PI
+    e[:, 1:] -= np.exp(-beta * dt) * y[:, :-1]
+    quad = np.array([row @ w for row, w in zip(e, e / v)])
+    nll = 0.5 * (quad + np.log(v).sum(axis=1)) + 0.5 * y.shape[1] * LOG_2PI
+    nll[singular] = PENALTY
+    return float(nll[0]) if one else nll

@@ -32,7 +32,7 @@ from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
 from .designs import is_prefix_nested
 from .errors import ContractError
-from .kernels import CovarianceKernel, Design, GramMatrix, _array, gram, require_geometry
+from .kernels import CovarianceKernel, Design, GramMatrix, _array, _counts, _number, gram, require_geometry
 
 __all__ = [
     "DivergenceTrace",
@@ -84,6 +84,14 @@ class DivergenceTrace:
     sizes: tuple[int, ...]
     values: np.ndarray
     slope_estimate: float
+
+    def __post_init__(self):
+        sizes = _counts(self.sizes, "sizes")
+        values = _array(self.values, "values", (len(sizes),))
+        values.flags.writeable = False
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slope_estimate", _number(self.slope_estimate, "slope_estimate"))
 
 
 def _slope(sizes: Sequence[int], values: np.ndarray) -> float:

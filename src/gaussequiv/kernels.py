@@ -250,8 +250,8 @@ def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
     """
     d, k = _sphere_degree(d, k)
     x = _number(x, "x", array=True)
-    if np.max(np.abs(x)) > 1.0 + 1e-12:
-        raise ContractError("Gegenbauer argument must lie in [-1, 1]")
+    if not np.all(np.abs(x) <= 1.0 + 1e-12):
+        raise ContractError("x must lie in [-1, 1]")
     g = next(islice(_gegenbauer_terms(d, np.clip(x, -1.0, 1.0)), k, None))
     return float(g) if x.ndim == 0 else g
 

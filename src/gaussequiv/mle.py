@@ -1,17 +1,24 @@
 """Maximum-likelihood covariance-parameter estimation and consistency experiments.
 
 Fitting is a derivative-free simplex search (Nelder-Mead) run from several
-deterministic starts.  Box constraints are enforced through a smooth
-unconstrained reparameterization: a sigmoid maps R to the box on the log
-scale of the parameters, so the box must be positive.  A singular
-covariance met during the search returns ``PENALTY`` instead of raising,
-which keeps the objective total over the box.
+deterministic starts.  ``_nelder_mead`` is SciPy's algorithm
+(``bounds=None, adaptive=False``) run on many starts in lockstep: the starts
+of one ``fit_mle``, or every replicate and start of one grid size of the
+experiment, advance one iteration at a time, and each iteration evaluates
+the likelihood at all their new points in one batch.  Each run takes
+SciPy's steps, so it ends where ``scipy.optimize.minimize`` ends, bit for
+bit; the tests hold it to that oracle.  Box constraints are enforced
+through a smooth unconstrained reparameterization: a sigmoid maps R to the
+box on the log scale of the parameters, so the box must be positive.  A
+singular covariance met during the search returns ``PENALTY`` instead of
+raising, which keeps the objective total over the box.
 
 The likelihood follows the Markov rule of ``j_divergence_trace``: for a
 Brownian or exponential kernel it sums O(n) AR(1) innovations on sorted
-points (``_markov._markov_nll``), with no Gram matrix.  Every other kernel
-goes through the dense Gram matrix and its Cholesky factor, which is also
-the test oracle of the Markov path.
+points (``_markov._markov_nll``), with no Gram matrix, and a batch of points
+on one design is one array computation with a row per point.  Every other
+kernel goes through the dense Gram matrix and its Cholesky factor, one
+point at a time; the dense path is also the test oracle of the Markov path.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -28,11 +35,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from ._csvio import write_csv
-from ._markov import MARKOV_KERNELS, _markov_nll, _sort_line
+from ._markov import MARKOV_KERNELS, PENALTY, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
@@ -52,10 +58,6 @@ __all__ = [
     "microergodic_experiment",
     "report_to_csv",
 ]
-
-# the likelihood at a singular covariance, on the Markov and the dense path alike
-PENALTY = 1e10
-
 
 @dataclass(frozen=True, eq=False)
 class ParamSpace:
@@ -146,10 +148,15 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     A singular covariance yields ``PENALTY`` instead of an exception, so
     optimizers can treat the objective as total.  A Markov kernel (the rule
     of ``j_divergence_trace``) is evaluated by its O(n) AR(1) form, every
-    other kernel through the dense Gram matrix.
+    other kernel through the dense Gram matrix.  This is the one-point case
+    of the batched likelihood that the fits evaluate.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    kernel = problem.family(theta)
+    return float(_likelihood([problem])([0], theta[None])[0])
+
+
+def _point_nll(kernel: CovarianceKernel, problem: LikelihoodProblem) -> float:
+    """The NLL of ``problem`` under one kernel; ``PENALTY`` where its covariance is singular."""
     try:
         if isinstance(kernel, MARKOV_KERNELS):
             require_geometry(kernel, problem.design)
@@ -159,15 +166,155 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
         return PENALTY
 
 
+def _likelihood(problems: list[LikelihoodProblem]):
+    """``nll(rows, thetas)``: the NLL of ``problems[rows[i]]`` at ``thetas[i]`` for every i.
+
+    The problems share one family and one design.  When the family gives
+    kernels of one Markov class, the points are one ``_markov_nll`` batch on
+    the shared sorted design; otherwise each point is evaluated alone.
+    """
+    family, design = problems[0].family, problems[0].design
+    order, t, dt, _ = problems[0]._line_order
+    data = np.array([p.data for p in problems])[:, order]
+
+    def nll(rows, thetas: np.ndarray) -> np.ndarray:
+        kernels = [family(theta) for theta in thetas]
+        kind = type(kernels[0])
+        if issubclass(kind, MARKOV_KERNELS) and all(type(k) is kind for k in kernels):
+            require_geometry(kernels[0], design)
+            return _markov_nll(kernels, order, t, dt, data[rows])
+        return np.array([_point_nll(k, problems[r]) for k, r in zip(kernels, rows)])
+
+    return nll
+
+
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxfev: int):
+    """SciPy's Nelder-Mead, ``bounds=None, adaptive=False``, on one run per row of ``x0``.
+
+    ``f(runs, x)`` returns the objective of run ``runs[i]`` at ``x[i]`` for
+    every i.  Each run takes the steps of
+    ``minimize(fun, x0[i], method="Nelder-Mead", options={"xatol", "fatol", "maxfev"})``:
+    its initial simplex, its coefficients, its stopping test and its
+    ``argsort`` reordering.  An evaluation past ``maxfev`` ends the rest of
+    that run's iteration, as SciPy's ``_MaxFuncCallError`` does.  The runs
+    advance one iteration at a time: one ``f`` call for every reflection,
+    one for the expansions and contractions, and up to p for shrinks.
+
+    Returns ``(x, fun, nfev, status)``, one entry per run; status 1 marks
+    a run that stopped on ``maxfev``, 0 one that met both tolerances.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    runs, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
+    fsim = np.full((runs, n + 1), np.inf)
+    m = min(n + 1, maxfev)
+    fsim[:, :m] = f(np.repeat(np.arange(runs), m), sim[:, :m].reshape(-1, n)).reshape(runs, m)
+    nfev = np.full(runs, m)
+    # SciPy sorts the initial simplex twice, and argsort may swap ties anew
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    live = nfev < maxfev
+    while live.any():
+        r = np.flatnonzero(live)
+        s, fs = sim[r], fsim[r]
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        live[r[done]] = False
+        r, s, fs = r[~done], s[~done], fs[~done]
+        if not len(r):
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = f(r, xr)
+        nfev[r] += 1
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        x2 = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst, (1 - psi) * xbar + psi * worst
+            ),
+        )
+        # a run out of evaluations skips the rest of its iteration
+        second = ~accept & (nfev[r] < maxfev)
+        fx2 = np.full(len(r), np.nan)
+        if second.any():
+            fx2[second] = f(r[second], x2[second])
+            nfev[r[second]] += 1
+        better = np.where(expand, fx2 < fxr, np.where(outside, fx2 <= fxr, fx2 < fs[:, -1]))
+        take_r = accept | (second & expand & ~better)
+        take2 = second & better
+        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take2, -1], fs[take2, -1] = x2[take2], fx2[take2]
+        q = np.flatnonzero(second & ~expand & ~better)
+        for j in range(1, n + 1):
+            s[q, j] = s[q, 0] + sigma * (s[q, j] - s[q, 0])
+            q = q[nfev[r[q]] < maxfev]
+            if len(q):
+                fs[q, j] = f(r[q], s[q, j])
+                nfev[r[q]] += 1
+        sim[r], fsim[r] = _sorted(s, fs)
+        live[r] = nfev[r] < maxfev
+    return sim[:, 0], np.min(fsim, axis=1), nfev, (nfev >= maxfev).astype(int)
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    """Each run's simplex in the order of ``np.argsort`` of its values."""
+    runs, ind = np.arange(len(fsim))[:, None], np.argsort(fsim, axis=1)
+    return sim[runs, ind], fsim[runs, ind]
+
+
 def _box_map(space: ParamSpace):
     lo, hi = np.log(space.lower), np.log(space.upper)
     return lambda u: np.exp(lo + (hi - lo) * expit(u))
 
 
-def _start_points(space: ParamSpace, starts: int) -> list[np.ndarray]:
+def _start_points(space: ParamSpace, starts: int) -> np.ndarray:
     # u = 0 is the center of the log box; the rest interpolate the
     # box at fixed low-discrepancy fractions
-    return [np.zeros(space.p)] + [logit(q) for q in _halton(starts - 1, space.p)]
+    return np.vstack([np.zeros(space.p), logit(_halton(starts - 1, space.p))])
+
+
+def _fit(
+    problems: list[LikelihoodProblem], space: ParamSpace, config: OptimizerConfig
+) -> list[MLEResult | None]:
+    """Fit every problem (one family, one design) from every start in one lockstep search.
+
+    An entry is ``None`` where every start of that problem terminated on the
+    singularity penalty.
+    """
+    to_theta, nll = _box_map(space), _likelihood(problems)
+    starts = _start_points(space, config.starts)
+    penalized = np.zeros(len(problems), dtype=int)
+
+    def objective(runs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        rows = runs // len(starts)
+        val = nll(rows, to_theta(u))
+        np.add.at(penalized, rows, val >= PENALTY)
+        return val
+
+    x, fun, nfev, status = _nelder_mead(
+        objective, np.tile(starts, (len(problems), 1)), config.tol_x, config.tol_f, config.max_evals
+    )
+    results = []
+    for i, own in enumerate(np.arange(len(x)).reshape(len(problems), -1)):
+        # the first of the starts with the least value
+        best = min(own, key=fun.__getitem__)
+        fit = MLEResult(
+            theta_hat=to_theta(x[best]),
+            loglik=-float(fun[best]),
+            evaluations=int(nfev[own].sum()),
+            penalized_evaluations=int(penalized[i]),
+            maxfev_starts=int(status[own].sum()),
+        )
+        results.append(None if fun[best] >= PENALTY else fit)
+    return results
 
 
 def fit_mle(
@@ -179,29 +326,10 @@ def fit_mle(
     :class:`OptimizationFailedError` when every start terminates on the
     singularity penalty.
     """
-    to_theta = _box_map(space)
-    penalized = 0
-
-    def objective(u: np.ndarray) -> float:
-        nonlocal penalized
-        val = neg_log_likelihood(problem, to_theta(u))
-        if val >= PENALTY:
-            penalized += 1
-        return val
-
-    options = {"xatol": config.tol_x, "fatol": config.tol_f, "maxfev": config.max_evals}
-    starts = _start_points(space, config.starts)
-    runs = [minimize(objective, u0, method="Nelder-Mead", options=options) for u0 in starts]
-    best = min(runs, key=lambda res: res.fun)
-    if best.fun >= PENALTY:
+    (result,) = _fit([problem], space, config)
+    if result is None:
         raise OptimizationFailedError("all starts terminated on the singularity penalty")
-    return MLEResult(
-        theta_hat=to_theta(best.x),
-        loglik=-float(best.fun),
-        evaluations=sum(res.nfev for res in runs),
-        penalized_evaluations=penalized,
-        maxfev_starts=sum(res.status == 1 for res in runs),
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +392,10 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     """Simulate, refit and summarize RMSE across grid refinements.
 
     For each n the replicate batch is drawn in one seeded block with a
-    sub-seed derived from (seed, n), then every replicate is refit
-    independently; failed optimizations are excluded from the RMSE and
-    counted.
+    sub-seed derived from (seed, n), then every replicate is refit from
+    every start in one lockstep search (``_fit``), each fit exactly as
+    :func:`fit_mle` would make it; failed optimizations are excluded from
+    the RMSE and counted.
     """
     sigma0, beta0 = config.theta0
     kernel0, space = ExponentialKernel(sigma0, beta0), ParamSpace(*config.box)
@@ -274,13 +403,8 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
         batch = sample_paths(gram(kernel0, design), config.replicates, derive_seed(config.seed, n))
-        ok = []
-        for y in batch.samples:
-            problem = LikelihoodProblem(family=_exponential_family, design=design, data=y)
-            try:
-                ok.append(fit_mle(problem, space, config.optimizer).theta_hat)
-            except OptimizationFailedError:
-                pass
+        problems = [LikelihoodProblem(_exponential_family, design, y) for y in batch.samples]
+        ok = [fit.theta_hat for fit in _fit(problems, space, config.optimizer) if fit is not None]
         failed.append(config.replicates - len(ok))
         thetas = np.array(ok).reshape(-1, 2)
         s2, b = thetas[:, 0] ** 2, thetas[:, 1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import ContractError
-from .kernels import GramMatrix, _integer
+from .kernels import GramMatrix, _array, _integer
 
 __all__ = [
     "SampleBatch",
@@ -32,6 +32,12 @@ class SampleBatch:
 
     samples: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        samples = _array(self.samples, "samples", (None, None))
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
     @property
     def replicates(self) -> int:

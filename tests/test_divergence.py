@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,29 @@ class TestDichotomyDiagnostic:
         trace = DivergenceTrace((2, 4, 8), np.zeros(3), 0.0)
         with pytest.raises(ContractError):
             dichotomy_diagnostic(trace)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sizes": ("2", "4", True, 16)}, "sizes must be an array of JSON numbers"),
+            ({"sizes": (2, 4, 4, 16)}, "sizes must be strictly increasing"),
+            ({"sizes": (2, 4, 8.5, 16)}, "sizes must be an integer"),
+            ({"values": [0.0, 1.0, "2", 3.0]}, "values must be an array of JSON numbers"),
+            ({"values": np.zeros(3)}, re.escape("values must have shape (4,)")),
+            ({"slope_estimate": None}, "slope_estimate must be a JSON number"),
+        ],
+    )
+    def test_trace_fields_checked_when_built(self, kwargs, message):
+        fields = {"sizes": (2, 4, 8, 16), "values": np.zeros(4), "slope_estimate": 0.5, **kwargs}
+        with pytest.raises(ContractError, match=message):
+            DivergenceTrace(**fields)
+
+    def test_trace_stores_a_read_only_copy(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        trace = DivergenceTrace([2, 4, 8.0, 16], values, 1)
+        values[0] = 9.0
+        assert trace.sizes == (2, 4, 8, 16) and trace.values[0] == 1.0 and trace.slope_estimate == 1.0
+        assert not trace.values.flags.writeable
 
     def test_inconclusive_band(self):
         # ratio 1.2 sits between the thresholds

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +284,16 @@ class TestGegenbauerNormalized:
             gegenbauer_normalized(3, 3, 1.0 + 1e-9)
         # slack below the tolerance is clamped, not rejected
         assert gegenbauer_normalized(3, 3, 1.0 + 1e-13) == 1.0
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(ContractError, match=re.escape("x must lie in [-1, 1]")):
+            gegenbauer_normalized(2, 3, math.nan)
+        with pytest.raises(ContractError, match="x must lie"):
+            gegenbauer_normalized(2, 3, [0.5, math.nan])
+
+    def test_empty_argument_gives_empty_values(self):
+        values = gegenbauer_normalized(2, 3, [])
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
 
     def test_returned_arrays_not_overwritten(self):
         # the recurrence reuses its buffers; a returned array must not be one of them

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +30,13 @@ from gaussequiv import (
     report_to_csv,
     sample_paths,
 )
+import gaussequiv.mle as mle
 from gaussequiv._markov import _markov_nll
 from gaussequiv.designs import sphere_sequence
-from gaussequiv.mle import PENALTY
+from gaussequiv.mle import PENALTY, _box_map, _likelihood, _nelder_mead, _start_points
+
+
+SRC = str(Path(mle.__file__).resolve().parents[1])
 
 
 def exp_family(theta):
@@ -228,30 +236,33 @@ class TestFitMle:
         with pytest.raises(OptimizationFailedError):
             fit_mle(problem, ParamSpace([0.1], [10.0]))
 
-    def test_tallies_match_objective_calls_and_starts(self, monkeypatch):
-        # evaluations is the likelihood call count; minimize runs once per start
-        import gaussequiv.mle as mle
+    def test_tallies_match_objective_calls_and_starts(self):
+        # evaluations counts likelihood points (the family is built once per
+        # point); evaluations and maxfev_starts are SciPy's nfev and status
+        from scipy.optimize import minimize
 
-        calls = {"nll": 0, "minimize": 0}
-        real_nll, real_minimize = mle.neg_log_likelihood, mle.minimize
+        points = 0
 
-        def counting_nll(*args):
-            calls["nll"] += 1
-            return real_nll(*args)
+        def counting_family(theta):
+            nonlocal points
+            points += 1
+            return exp_family(theta)
 
-        def counting_minimize(*args, **kwargs):
-            calls["minimize"] += 1
-            return real_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(mle, "neg_log_likelihood", counting_nll)
-        monkeypatch.setattr(mle, "minimize", counting_minimize)
         design, y = simulate(20, 1.0, 1.0, seed=6)
-        problem = LikelihoodProblem(exp_family, design, y)
+        problem = LikelihoodProblem(counting_family, design, y)
+        space = ParamSpace([0.05, 0.05], [20.0, 20.0])
         config = OptimizerConfig(starts=3.0, max_evals=40)
-        result = fit_mle(problem, ParamSpace([0.05, 0.05], [20.0, 20.0]), config)
-        assert calls == {"nll": result.evaluations, "minimize": 3}
+        result = fit_mle(problem, space, config)
+        assert points == result.evaluations
         assert result.penalized_evaluations == 0
         assert result.maxfev_starts == 3
+        to_theta, options = _box_map(space), {"xatol": config.tol_x, "fatol": config.tol_f, "maxfev": config.max_evals}
+        runs = [
+            minimize(lambda u: neg_log_likelihood(problem, to_theta(u)), u0, method="Nelder-Mead", options=options)
+            for u0 in _start_points(space, 3)
+        ]
+        assert result.evaluations == sum(res.nfev for res in runs)
+        assert result.maxfev_starts == sum(res.status == 1 for res in runs)
 
     def test_log_transform_needs_positive_box(self):
         design, y = simulate(5, 1.0, 1.0, seed=2)
@@ -288,14 +299,14 @@ class TestMicroergodicExperiment:
         assert len(lines) == 3
 
     def test_grid_where_every_fit_fails(self, tmp_path, monkeypatch):
-        real_fit = fit_mle
+        real_fit = mle._fit
 
-        def fit_or_fail(problem, space, config):
-            if len(problem.design) == 12:
-                raise OptimizationFailedError("all starts terminated on the singularity penalty")
-            return real_fit(problem, space, config)
+        def fit_or_fail(problems, space, config):
+            if len(problems[0].design) == 12:
+                return [None] * len(problems)
+            return real_fit(problems, space, config)
 
-        monkeypatch.setattr("gaussequiv.mle.fit_mle", fit_or_fail)
+        monkeypatch.setattr(mle, "_fit", fit_or_fail)
         config = ExperimentConfig(
             n_grid=(8, 12),
             replicates=20,
@@ -309,6 +320,17 @@ class TestMicroergodicExperiment:
         path = tmp_path / "consistency.csv"
         report_to_csv(report, path)
         assert path.read_text().splitlines()[2] == "12,nan,nan,nan,20"
+
+    def test_replicates_fit_as_fit_mle_fits_each(self):
+        # the lockstep batch of the experiment gives every replicate the fit of a lone fit_mle call
+        design = equispaced_interval_design(30)
+        batch = sample_paths(gram(ExponentialKernel(1.0, 1.0), design), 20, 3)
+        problems = [LikelihoodProblem(exp_family, design, y) for y in batch.samples]
+        space, config = ParamSpace([0.05, 0.05], [20.0, 20.0]), OptimizerConfig(starts=3, max_evals=120)
+        for fit, problem in zip(mle._fit(problems, space, config), problems):
+            alone = fit_mle(problem, space, config)
+            assert fit.theta_hat.tobytes() == alone.theta_hat.tobytes() and fit.loglik == alone.loglik
+            assert (fit.evaluations, fit.maxfev_starts) == (alone.evaluations, alone.maxfev_starts)
 
     def test_fractional_seed_rejected_before_any_fit(self):
         # the config reads its seed when built, so no experiment can start with it
@@ -381,6 +403,59 @@ class TestMicroergodicExperiment:
         config = ExperimentConfig(n_grid=(10, 20), replicates=20, seed=1, domain=[0, 2], theta0=np.array([1, 3]))
         assert config.domain == (0.0, 2.0) and config.theta0 == (1.0, 3.0)
         assert all(type(v) is float for v in (*config.domain, *config.theta0))
+
+
+# objectives of the equivalence tests; PENALTY and floor give plateaus of exact ties
+SIMPLEX_OBJECTIVES = {
+    "bowl": lambda x: float(np.sum((x - 0.3) ** 2)),
+    "plateau": lambda x: PENALTY if x[0] > 0.2 else float(np.sum((x + 1.0) ** 2)),
+    "steps": lambda x: float(np.floor(3.0 * np.sum(x))),
+}
+
+
+class TestLockstepMatchesScipy:
+    """The lockstep search and the row-batched likelihood, bit for bit against their one-run forms."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SIMPLEX_OBJECTIVES))
+    def test_nelder_mead_runs_equal_scipy(self, p, name):
+        # maxfev 1..5 and 30 cut runs off inside the initial simplex, an
+        # expansion, a contraction and a shrink; zero coordinates take zdelt
+        from scipy.optimize import minimize
+
+        fn = SIMPLEX_OBJECTIVES[name]
+        x0 = np.array([np.zeros(p), np.r_[0.0, np.ones(p - 1)], np.linspace(-0.5, 0.7, p), np.full(p, 2.0)])
+        for maxfev in (1, 2, 3, 5, 30, 2000):
+            x, fun, nfev, status = _nelder_mead(lambda runs, u: np.array([fn(v) for v in u]), x0, 1e-6, 1e-9, maxfev)
+            for i, start in enumerate(x0):
+                options = {"xatol": 1e-6, "fatol": 1e-9, "maxfev": maxfev}
+                res = minimize(fn, start, method="Nelder-Mead", options=options)
+                assert (x[i].tobytes(), fun[i], nfev[i], status[i]) == (res.x.tobytes(), res.fun, res.nfev, res.status)
+
+    @pytest.mark.parametrize("family, p", [(exp_family, 2), (brownian_family, 1)], ids=["exponential", "brownian"])
+    def test_batched_markov_rows_equal_single_rows(self, rng, family, p):
+        for n in (2, 3, 8, 31, 64, 199, 200, 401, 1000, 1001):
+            design = Design.interval(np.sort(rng.uniform(0.01, 1.0, n)))
+            problems = [LikelihoodProblem(family, design, y) for y in rng.standard_normal((4, n))]
+            rows = np.array([0, 1, 2, 3, 3, 1, 0])
+            thetas = np.exp(rng.normal(size=(len(rows), p)))
+            # sigma^2 underflows to 0: a penalized row inside the batch
+            thetas[4, 0] = 1e-200
+            batched = _likelihood(problems)(rows, thetas)
+            single = [neg_log_likelihood(problems[r], theta) for r, theta in zip(rows, thetas)]
+            assert batched.tobytes() == np.array(single).tobytes()
+            assert batched[4] == PENALTY and np.all(batched[np.arange(len(rows)) != 4] < PENALTY)
+
+    def test_brownian_rows_at_the_origin_all_penalized(self, rng):
+        design = Design.interval(np.r_[0.0, np.sort(rng.uniform(0.01, 1.0, 9))])
+        problems = [LikelihoodProblem(brownian_family, design, y) for y in rng.standard_normal((3, 10))]
+        batched = _likelihood(problems)([0, 1, 2, 1], [[0.5], [1.0], [2.0], [3.0]])
+        assert list(batched) == [PENALTY] * 4 == [neg_log_likelihood(problems[1], [s]) for s in range(1, 5)]
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        script = "import gaussequiv, sys; assert 'scipy.optimize' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestOptimizerConfig:

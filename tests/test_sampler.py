@@ -91,6 +91,28 @@ class TestEmpiricalCovariance:
         se = np.sqrt((np.outer(np.diag(r), np.diag(r)) + r**2) / m)
         assert np.max(np.abs(emp - r) / se) <= 5.0
 
+    @pytest.mark.parametrize(
+        "samples, seed, message",
+        [
+            ([[1.0, "2"], [3.0, 4.0]], 1, "samples must be an array of JSON numbers"),
+            (np.zeros(3), 1, "samples must have shape"),
+            (np.zeros((2, 3)), -1, "seed must be >= 0"),
+            (np.zeros((2, 3)), True, "seed must be a JSON number"),
+        ],
+    )
+    def test_batch_fields_checked_when_built(self, samples, seed, message):
+        with pytest.raises(ContractError, match=message):
+            SampleBatch(samples, seed)
+
+    def test_batch_stores_a_read_only_copy(self):
+        samples = np.zeros((2, 3))
+        batch = SampleBatch([[0, 1, 2], [3, 4, 5]], 2.0)
+        assert batch.samples.dtype == float and type(batch.seed) is int and batch.seed == 2
+        assert not batch.samples.flags.writeable
+        batch = SampleBatch(samples, 0)
+        samples[0, 0] = 1.0
+        assert batch.samples[0, 0] == 0.0
+
     def test_single_replicate_rejected(self):
         batch = SampleBatch(samples=np.zeros((1, 3)), seed=0)
         with pytest.raises(ContractError):
