@@ -6,9 +6,9 @@ the exponential (Ornstein-Uhlenbeck) kernel are Markov:
 ``e_i ~ N(0, v_i)`` and ``e_0 = X_0``.  The precision matrix is therefore
 ``B' D^{-1} B`` with B bidiagonal, and a likelihood or a J-divergence on n
 points costs O(n) after sorting, with no Gram matrix.  Both read one AR(1)
-form (``_ar``, one row per kernel, so the likelihood of many points is one
-array computation), take the kernels of ``MARKOV_KERNELS`` and share one
-singular rule (``_require_positive``); the dense Gram path is their oracle.
+form (``_ar``, one row per kernel); the dense Gram path is their oracle.  The
+likelihood takes kernels of one class over ``(m, n)`` stacked data rows and
+reads ``PENALTY`` on each singular row, where the J raises.
 """
 
 from __future__ import annotations
@@ -108,29 +108,22 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
     return j
 
 
-def _markov_nll(kernel, order: np.ndarray, t: np.ndarray, dt: np.ndarray, y: np.ndarray):
-    """NLL of data on sorted points ``t``, ``order`` as in ``_require_positive``.
+def _markov_nll(kernels, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NLL of row i of the ``(m, n)`` data ``y`` on sorted points ``t`` under ``kernels[i]``.
 
-    ``y_i`` given ``y_{i-1}`` is normal with mean ``rho_i y_{i-1}`` and
-    variance ``v_i``.  With one kernel and one data row ``y`` the NLL is a
-    float and a singular covariance raises as in the J.  With a list of
-    kernels of one class and an ``(m, n)`` array ``y``, row i is the NLL of
-    ``y[i]`` under ``kernel[i]`` and reads ``PENALTY`` where that covariance
-    is singular.  A row costs the operations of the row alone, and
-    ``e·(e/v)`` is one BLAS dot per row (``einsum`` reorders the sum), so a
-    row of a batch equals its single call bit for bit.
+    The m kernels are of one Markov class.  ``y_j`` given ``y_{j-1}`` is
+    normal with mean ``rho_j y_{j-1}`` and variance ``v_j``; a row reads
+    ``PENALTY`` where its covariance is singular.  A row costs the operations
+    of the row alone, and ``e·(e/v)`` is one BLAS dot per row (``einsum``
+    reorders the sum), so a row equals the batch of that row alone bit for bit.
     """
-    one = y.ndim == 1
-    _, beta, v = _ar([kernel] if one else kernel, t, dt)
+    _, beta, v = _ar(kernels, t, dt)
     singular = ~(v.min(axis=1) > 0)
-    if one:
-        _require_positive(v[0], order)
     # a singular row reads PENALTY; 1 keeps its arithmetic quiet
     v[singular] = 1.0
-    y = np.atleast_2d(y)
     e = y.copy()
     e[:, 1:] -= np.exp(-beta * dt) * y[:, :-1]
     quad = np.array([row @ w for row, w in zip(e, e / v)])
     nll = 0.5 * (quad + np.log(v).sum(axis=1)) + 0.5 * y.shape[1] * LOG_2PI
     nll[singular] = PENALTY
-    return float(nll[0]) if one else nll
+    return nll

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import reprlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
 from numbers import Real
@@ -448,11 +448,27 @@ class SchoenbergKernel(CovarianceKernel):
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """SPD kernel matrix with its cached lower Cholesky factor and log-determinant."""
+    """SPD kernel matrix with the lower Cholesky factor and log-determinant it computes when built.
+
+    ``GramMatrix(x)`` checks and factors the square float ndarray ``x`` as
+    :func:`gram_from_matrix` does, but takes ``x`` over read-only, uncopied.
+    """
 
     entries: np.ndarray
-    chol: np.ndarray
-    log_det: float
+    chol: np.ndarray = field(init=False)
+    log_det: float = field(init=False)
+
+    def __post_init__(self):
+        a = self.entries
+        if not (isinstance(a, np.ndarray) and a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1]):
+            raise ContractError("Gram entries must form a square float matrix")
+        _require_symmetric(a, "Gram entries")
+        c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
+        if info != 0:
+            raise SingularGramError(pivot=int(info) - 1)
+        a.flags.writeable = c.flags.writeable = False
+        object.__setattr__(self, "chol", c)
+        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(c)))))
 
     @property
     def n(self) -> int:
@@ -480,7 +496,7 @@ def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
         If the matrix is not numerically positive definite; the error
         carries the zero-based index of the failing pivot.
     """
-    return _factor(_array(entries, "entries", (None, None)))
+    return GramMatrix(_array(entries, "entries", (None, None)))
 
 
 def _require_symmetric(a: np.ndarray, what: str) -> None:
@@ -489,22 +505,12 @@ def _require_symmetric(a: np.ndarray, what: str) -> None:
     largest = float(np.max(np.abs(a)))
     if not math.isfinite(largest):
         raise ContractError(f"{what} must be finite")
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(1.0, largest):
+    # max |a - a.T| over pairs of 128-square tiles, which stay in cache where
+    # the strided a.T does not; |x - y| == |y - x|, so the upper pairs suffice
+    tiles = [slice(i, i + 128) for i in range(0, len(a), 128)]
+    asymmetry = max(float(np.max(np.abs(a[r, c] - a[c, r].T))) for k, r in enumerate(tiles) for c in tiles[k:])
+    if asymmetry > SYMMETRY_RTOL * max(1.0, largest):
         raise ContractError(f"{what} must be symmetric")
-
-
-def _factor(a: np.ndarray) -> GramMatrix:
-    """Check and factor the float matrix ``a``; the result takes ``a`` over as ``entries``."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError("Gram entries must form a square matrix")
-    _require_symmetric(a, "Gram entries")
-    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
-        raise SingularGramError(pivot=int(info) - 1)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(c))))
-    a.flags.writeable = False
-    c.flags.writeable = False
-    return GramMatrix(entries=a, chol=c, log_det=log_det)
 
 
 def gram(kernel: CovarianceKernel, design: Design) -> GramMatrix:
@@ -514,7 +520,7 @@ def gram(kernel: CovarianceKernel, design: Design) -> GramMatrix:
     hard (``SingularGramError``) when it is not numerically positive definite.
     """
     require_geometry(kernel, design)
-    return _factor(np.asarray(kernel.matrix(design.coords), dtype=float))
+    return GramMatrix(np.asarray(kernel.matrix(design.coords), dtype=float))
 
 
 def require_geometry(kernel: CovarianceKernel, design: Design) -> None:

@@ -13,12 +13,14 @@ box on the log scale of the parameters, so the box must be positive.  A
 singular covariance met during the search returns ``PENALTY`` instead of
 raising, which keeps the objective total over the box.
 
-The likelihood follows the Markov rule of ``j_divergence_trace``: for a
-Brownian or exponential kernel it sums O(n) AR(1) innovations on sorted
-points (``_markov._markov_nll``), with no Gram matrix, and a batch of points
-on one design is one array computation with a row per point.  Every other
-kernel goes through the dense Gram matrix and its Cholesky factor, one
-point at a time; the dense path is also the test oracle of the Markov path.
+The fits take one family, one design and an ``(m, n)`` array of stacked
+data rows: one row in ``fit_mle``, every replicate of a grid size in the
+experiment.  The likelihood follows the Markov rule of
+``j_divergence_trace``: for a Brownian or exponential kernel it sums O(n)
+AR(1) innovations on the sorted design (``_markov._markov_nll``), with no
+Gram matrix, and a batch of points is one array computation with a row per
+point.  Every other kernel goes through the dense Gram matrix, one point at
+a time; the dense path is also the test oracle of the Markov path.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -93,12 +94,6 @@ class LikelihoodProblem:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    @cached_property
-    def _line_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(order, t, dt, y)``: ``_sort_line`` of the 1-D design and the data in sorted order."""
-        order, t, dt = _sort_line(self.design.coords[:, 0])
-        return order, t, dt, self.data[order]
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -152,38 +147,39 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     of the batched likelihood that the fits evaluate.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return float(_likelihood([problem])([0], theta[None])[0])
+    return float(_likelihood(problem.family, problem.design, problem.data[None])([0], theta[None])[0])
 
 
-def _point_nll(kernel: CovarianceKernel, problem: LikelihoodProblem) -> float:
-    """The NLL of ``problem`` under one kernel; ``PENALTY`` where its covariance is singular."""
-    try:
-        if isinstance(kernel, MARKOV_KERNELS):
-            require_geometry(kernel, problem.design)
-            return _markov_nll(kernel, *problem._line_order)
-        return -gaussian_logpdf(gram(kernel, problem.design), problem.data)
-    except SingularGramError:
-        return PENALTY
+def _likelihood(family, design: Design, data: np.ndarray):
+    """``nll(rows, thetas)``: the NLL of ``data[rows[i]]`` under ``family(thetas[i])`` for every i.
 
-
-def _likelihood(problems: list[LikelihoodProblem]):
-    """``nll(rows, thetas)``: the NLL of ``problems[rows[i]]`` at ``thetas[i]`` for every i.
-
-    The problems share one family and one design.  When the family gives
-    kernels of one Markov class, the points are one ``_markov_nll`` batch on
-    the shared sorted design; otherwise each point is evaluated alone.
+    ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted
+    once.  When the family gives kernels of one Markov class, the points are
+    one ``_markov_nll`` batch; otherwise each point is evaluated alone, a
+    Markov kernel as a batch of one and any other through its dense Gram
+    matrix, with ``PENALTY`` where that matrix is singular.
     """
-    family, design = problems[0].family, problems[0].design
-    order, t, dt, _ = problems[0]._line_order
-    data = np.array([p.data for p in problems])[:, order]
+    order, t, dt = _sort_line(design.coords[:, 0])
+    line_data = data[:, order]
+
+    def markov(kernels, rows) -> np.ndarray:
+        require_geometry(kernels[0], design)
+        return _markov_nll(kernels, t, dt, line_data[rows])
+
+    def point(kernel: CovarianceKernel, row: int) -> float:
+        if isinstance(kernel, MARKOV_KERNELS):
+            return markov([kernel], [row])[0]
+        try:
+            return -gaussian_logpdf(gram(kernel, design), data[row])
+        except SingularGramError:
+            return PENALTY
 
     def nll(rows, thetas: np.ndarray) -> np.ndarray:
         kernels = [family(theta) for theta in thetas]
         kind = type(kernels[0])
         if issubclass(kind, MARKOV_KERNELS) and all(type(k) is kind for k in kernels):
-            require_geometry(kernels[0], design)
-            return _markov_nll(kernels, order, t, dt, data[rows])
-        return np.array([_point_nll(k, problems[r]) for k, r in zip(kernels, rows)])
+            return markov(kernels, rows)
+        return np.array([point(k, r) for k, r in zip(kernels, rows)])
 
     return nll
 
@@ -234,13 +230,9 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxfev: int):
         expand = fxr < fs[:, 0]
         accept = ~expand & (fxr < fs[:, -2])
         outside = ~expand & ~accept & (fxr < fs[:, -1])
-        x2 = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(
-                outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst, (1 - psi) * xbar + psi * worst
-            ),
-        )
+        # expansion, outside, inside contraction: SciPy's bits, as a - (-b) == a + b
+        c = np.where(expand, rho * chi, np.where(outside, psi * rho, -psi))[:, None]
+        x2 = (1 + c) * xbar - c * worst
         # a run out of evaluations skips the rest of its iteration
         second = ~accept & (nfev[r] < maxfev)
         fx2 = np.full(len(r), np.nan)
@@ -282,16 +274,16 @@ def _start_points(space: ParamSpace, starts: int) -> np.ndarray:
 
 
 def _fit(
-    problems: list[LikelihoodProblem], space: ParamSpace, config: OptimizerConfig
+    family, design: Design, data: np.ndarray, space: ParamSpace, config: OptimizerConfig
 ) -> list[MLEResult | None]:
-    """Fit every problem (one family, one design) from every start in one lockstep search.
+    """Fit every row of the ``(m, n)`` data on ``design`` from every start in one lockstep search.
 
-    An entry is ``None`` where every start of that problem terminated on the
+    An entry is ``None`` where every start of that row terminated on the
     singularity penalty.
     """
-    to_theta, nll = _box_map(space), _likelihood(problems)
+    to_theta, nll = _box_map(space), _likelihood(family, design, data)
     starts = _start_points(space, config.starts)
-    penalized = np.zeros(len(problems), dtype=int)
+    penalized = np.zeros(len(data), dtype=int)
 
     def objective(runs: np.ndarray, u: np.ndarray) -> np.ndarray:
         rows = runs // len(starts)
@@ -300,10 +292,10 @@ def _fit(
         return val
 
     x, fun, nfev, status = _nelder_mead(
-        objective, np.tile(starts, (len(problems), 1)), config.tol_x, config.tol_f, config.max_evals
+        objective, np.tile(starts, (len(data), 1)), config.tol_x, config.tol_f, config.max_evals
     )
     results = []
-    for i, own in enumerate(np.arange(len(x)).reshape(len(problems), -1)):
+    for i, own in enumerate(np.arange(len(x)).reshape(len(data), -1)):
         # the first of the starts with the least value
         best = min(own, key=fun.__getitem__)
         fit = MLEResult(
@@ -326,7 +318,7 @@ def fit_mle(
     :class:`OptimizationFailedError` when every start terminates on the
     singularity penalty.
     """
-    (result,) = _fit([problem], space, config)
+    (result,) = _fit(problem.family, problem.design, problem.data[None], space, config)
     if result is None:
         raise OptimizationFailedError("all starts terminated on the singularity penalty")
     return result
@@ -403,8 +395,8 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
         batch = sample_paths(gram(kernel0, design), config.replicates, derive_seed(config.seed, n))
-        problems = [LikelihoodProblem(_exponential_family, design, y) for y in batch.samples]
-        ok = [fit.theta_hat for fit in _fit(problems, space, config.optimizer) if fit is not None]
+        fits = _fit(_exponential_family, design, batch.samples, space, config.optimizer)
+        ok = [fit.theta_hat for fit in fits if fit is not None]
         failed.append(config.replicates - len(ok))
         thetas = np.array(ok).reshape(-1, 2)
         s2, b = thetas[:, 0] ** 2, thetas[:, 1]

@@ -14,6 +14,7 @@ from gaussequiv import (
     Design,
     ExponentialKernel,
     Geometry,
+    GramMatrix,
     SchoenbergKernel,
     SchoenbergSpectrum,
     SingularGramError,
@@ -24,7 +25,9 @@ from gaussequiv import (
     harmonic_dimension,
     harmonic_dimensions,
     kernel_from_json,
+    rkhs_norm,
 )
+import gaussequiv.kernels as kernels
 from gaussequiv.designs import sphere_sequence
 
 from conftest import make_spd, random_unit_vectors
@@ -145,6 +148,34 @@ class TestGram:
         # a symmetric NaN pair passes max|a - a'| > tol, which is False for NaN
         with pytest.raises(ContractError, match="finite"):
             gram_from_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_direct_construction_computes_its_factor(self):
+        # chol and log_det cannot be passed in, so no GramMatrix holds a wrong factor
+        with pytest.raises(TypeError):
+            GramMatrix(entries=np.eye(2), chol=np.array([[1.0, 0.0], [5.0, -1.0]]), log_det=0.0)
+        x = np.eye(2)
+        g = GramMatrix(x)
+        assert g.entries is x and not x.flags.writeable
+        assert rkhs_norm(g, [1.0, 1.0]) == math.sqrt(2)
+        with pytest.raises(SingularGramError):
+            GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_tiled_symmetry_check_reads_the_plain_formula(self, rng, monkeypatch, n):
+        # entries in (-1, 1) make the tolerance SYMMETRY_RTOL itself: the check
+        # passes at the plain max|a - a.T| and fails one float below it
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        plain = float(np.max(np.abs(a - a.T)))
+        monkeypatch.setattr(kernels, "SYMMETRY_RTOL", plain)
+        kernels._require_symmetric(a, "a")
+        monkeypatch.setattr(kernels, "SYMMETRY_RTOL", np.nextafter(plain, -1.0))
+        with pytest.raises(ContractError, match="a must be symmetric"):
+            kernels._require_symmetric(a, "a")
+        for bad in (np.nan, np.inf):
+            b = a.copy()
+            b[-1, 0] = bad
+            with pytest.raises(ContractError, match="a must be finite"):
+                kernels._require_symmetric(b, "a")
 
 
 class TestDesign:

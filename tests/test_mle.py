@@ -23,6 +23,7 @@ from gaussequiv import (
     SingularGramError,
     equispaced_interval_design,
     fit_mle,
+    gaussian_logpdf,
     gram,
     j_divergence_trace,
     microergodic_experiment,
@@ -31,7 +32,6 @@ from gaussequiv import (
     sample_paths,
 )
 import gaussequiv.mle as mle
-from gaussequiv._markov import _markov_nll
 from gaussequiv.designs import sphere_sequence
 from gaussequiv.mle import PENALTY, _box_map, _likelihood, _nelder_mead, _start_points
 
@@ -126,13 +126,11 @@ class TestNegLogLikelihood:
         design = Design.interval(t)
         problem = LikelihoodProblem(brownian_family, design, np.ones(5))
         assert neg_log_likelihood(problem, [1.0]) == PENALTY
-        with pytest.raises(SingularGramError) as likelihood:
-            _markov_nll(BrownianKernel(1.0), *problem._line_order)
         with pytest.raises(SingularGramError) as dense:
             gram(BrownianKernel(1.0), design)
         with pytest.raises(SingularGramError) as trace:
             j_divergence_trace(BrownianKernel(1.0), BrownianKernel(2.0), [Design.interval(t[:m]) for m in (4, 5)])
-        assert likelihood.value.pivot == trace.value.pivot == dense.value.pivot == 3
+        assert trace.value.pivot == dense.value.pivot == 3
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_brownian_overflow_rejected_like_gram(self):
@@ -301,10 +299,10 @@ class TestMicroergodicExperiment:
     def test_grid_where_every_fit_fails(self, tmp_path, monkeypatch):
         real_fit = mle._fit
 
-        def fit_or_fail(problems, space, config):
-            if len(problems[0].design) == 12:
-                return [None] * len(problems)
-            return real_fit(problems, space, config)
+        def fit_or_fail(family, design, data, space, config):
+            if len(design) == 12:
+                return [None] * len(data)
+            return real_fit(family, design, data, space, config)
 
         monkeypatch.setattr(mle, "_fit", fit_or_fail)
         config = ExperimentConfig(
@@ -325,10 +323,9 @@ class TestMicroergodicExperiment:
         # the lockstep batch of the experiment gives every replicate the fit of a lone fit_mle call
         design = equispaced_interval_design(30)
         batch = sample_paths(gram(ExponentialKernel(1.0, 1.0), design), 20, 3)
-        problems = [LikelihoodProblem(exp_family, design, y) for y in batch.samples]
         space, config = ParamSpace([0.05, 0.05], [20.0, 20.0]), OptimizerConfig(starts=3, max_evals=120)
-        for fit, problem in zip(mle._fit(problems, space, config), problems):
-            alone = fit_mle(problem, space, config)
+        for fit, y in zip(mle._fit(exp_family, design, batch.samples, space, config), batch.samples):
+            alone = fit_mle(LikelihoodProblem(exp_family, design, y), space, config)
             assert fit.theta_hat.tobytes() == alone.theta_hat.tobytes() and fit.loglik == alone.loglik
             assert (fit.evaluations, fit.maxfev_starts) == (alone.evaluations, alone.maxfev_starts)
 
@@ -436,21 +433,41 @@ class TestLockstepMatchesScipy:
     def test_batched_markov_rows_equal_single_rows(self, rng, family, p):
         for n in (2, 3, 8, 31, 64, 199, 200, 401, 1000, 1001):
             design = Design.interval(np.sort(rng.uniform(0.01, 1.0, n)))
-            problems = [LikelihoodProblem(family, design, y) for y in rng.standard_normal((4, n))]
+            data = rng.standard_normal((4, n))
             rows = np.array([0, 1, 2, 3, 3, 1, 0])
             thetas = np.exp(rng.normal(size=(len(rows), p)))
             # sigma^2 underflows to 0: a penalized row inside the batch
             thetas[4, 0] = 1e-200
-            batched = _likelihood(problems)(rows, thetas)
+            batched = _likelihood(family, design, data)(rows, thetas)
+            problems = [LikelihoodProblem(family, design, y) for y in data]
             single = [neg_log_likelihood(problems[r], theta) for r, theta in zip(rows, thetas)]
             assert batched.tobytes() == np.array(single).tobytes()
             assert batched[4] == PENALTY and np.all(batched[np.arange(len(rows)) != 4] < PENALTY)
 
     def test_brownian_rows_at_the_origin_all_penalized(self, rng):
         design = Design.interval(np.r_[0.0, np.sort(rng.uniform(0.01, 1.0, 9))])
-        problems = [LikelihoodProblem(brownian_family, design, y) for y in rng.standard_normal((3, 10))]
-        batched = _likelihood(problems)([0, 1, 2, 1], [[0.5], [1.0], [2.0], [3.0]])
-        assert list(batched) == [PENALTY] * 4 == [neg_log_likelihood(problems[1], [s]) for s in range(1, 5)]
+        data = rng.standard_normal((3, 10))
+        batched = _likelihood(brownian_family, design, data)([0, 1, 2, 1], [[0.5], [1.0], [2.0], [3.0]])
+        problem = LikelihoodProblem(brownian_family, design, data[1])
+        assert list(batched) == [PENALTY] * 4 == [neg_log_likelihood(problem, [s]) for s in range(1, 5)]
+
+    def test_mixed_kernel_batch_evaluated_point_by_point(self, rng):
+        # kernels of two Markov classes in one batch: each point alone, a
+        # Markov kernel as a batch of one, with its lone value and the dense NLL
+        def family(theta):
+            return BrownianKernel(float(theta[0])) if theta[1] < 1.0 else exp_family(theta)
+
+        design = Design.interval(rng.uniform(0.01, 1.0, 40))
+        data = rng.standard_normal((3, 40))
+        rows = np.array([0, 1, 2, 1, 0, 2])
+        thetas = np.array([[1.0, 0.5], [0.7, 2.0], [1.3, 0.2], [2.0, 1.5], [0.4, 0.9], [1e-200, 3.0]])
+        batched = _likelihood(family, design, data)(rows, thetas)
+        problems = [LikelihoodProblem(family, design, y) for y in data]
+        single = [neg_log_likelihood(problems[r], theta) for r, theta in zip(rows, thetas)]
+        assert batched.tobytes() == np.array(single).tobytes()
+        assert batched[-1] == PENALTY
+        for value, r, theta in zip(batched[:-1], rows, thetas):
+            assert value == pytest.approx(-gaussian_logpdf(gram(family(theta), design), data[r]), rel=1e-8)
 
     def test_package_import_leaves_scipy_optimize_out(self):
         script = "import gaussequiv, sys; assert 'scipy.optimize' not in sys.modules"
