@@ -6,9 +6,9 @@ the exponential (Ornstein-Uhlenbeck) kernel are Markov:
 ``e_i ~ N(0, v_i)`` and ``e_0 = X_0``.  The precision matrix is therefore
 ``B' D^{-1} B`` with B bidiagonal, and a likelihood or a J-divergence on n
 points costs O(n) after sorting, with no Gram matrix.  Both read one AR(1)
-form (``_ar``, one row per kernel); the dense Gram path is their oracle.  The
-likelihood takes kernels of one class over ``(m, n)`` stacked data rows and
-reads ``PENALTY`` on each singular row, where the J raises.
+form (``_ar``, a kernel class and one row of parameter columns per kernel);
+the dense Gram path is their oracle.  The likelihood takes ``(m, n)`` stacked
+data rows and reads ``PENALTY`` on each singular row, where the J raises.
 """
 
 from __future__ import annotations
@@ -25,29 +25,31 @@ LOG_2PI = math.log(2.0 * math.pi)
 # the likelihood at a singular covariance, on the Markov and the dense path alike
 PENALTY = 1e10
 
-# the exponential kernel first: it is the one the likelihood meets most
 MARKOV_KERNELS = (ExponentialKernel, BrownianKernel)
 
 
-def _ar(kernels, t: np.ndarray, dt: np.ndarray):
-    """AR(1) form of Markov kernels of one class on sorted points ``t`` with increments ``dt``.
+def _columns(kernels) -> tuple[np.ndarray, np.ndarray]:
+    """``(s2, beta)`` columns of Markov kernels: numpy's ``sigma * sigma`` (not libm ``pow``), Brownian beta 0."""
+    sigma = np.array([[k.sigma] for k in kernels])
+    return sigma**2, np.array([[getattr(k, "beta", 0.0)] for k in kernels])
+
+
+def _ar(kind: type, s2, beta, t: np.ndarray, dt: np.ndarray):
+    """AR(1) form of Markov class ``kind`` with ``(m, 1)`` columns ``s2`` and ``beta`` on sorted ``t``.
 
     Returns ``(prev_var, beta, v)`` with one row per kernel: ``rho_i =
     exp(-beta dt_i)`` is the coefficient of ``X_{i-1}`` in ``X_i``,
     ``prev_var`` is ``R(t_{i-1}, t_{i-1})`` for i >= 1 and ``v[:, i]`` is the
-    innovation variance, ``v[:, 0] = R(t_0, t_0)``.  ``s^2`` is each kernel's
-    own ``sigma**2`` (Python's ``pow``, not numpy's ``x * x``), so a row is
-    the arithmetic of its kernel alone, bit for bit.
+    innovation variance, ``v[:, 0] = R(t_0, t_0)``.  Each operation is
+    elementwise, so a row is the arithmetic of its kernel alone, bit for bit.
 
     - Exponential: ``prev_var = s^2``, ``v = [s^2, -s^2 expm1(-2 beta dt)]``;
       ``expm1`` keeps ``1 - rho^2`` from cancelling when ``beta dt`` is small.
     - Brownian: ``prev_var = s^2 t[:-1]``, ``beta = 0`` (so ``rho = 1``
       exactly), ``v = [s^2 t_0, s^2 dt]``.
     """
-    s2 = np.array([[k.sigma**2] for k in kernels])
-    v = np.empty((len(kernels), len(t)))
-    if isinstance(kernels[0], ExponentialKernel):
-        beta = np.array([[k.beta] for k in kernels])
+    v = np.empty((len(s2), len(t)))
+    if kind is ExponentialKernel:
         v[:, :1] = s2
         v[:, 1:] = -s2 * np.expm1(-2.0 * beta * dt)
         return s2, beta, v
@@ -96,7 +98,7 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
         If an innovation variance is not positive; see ``_require_positive``.
     """
     order, ts, dt = _sort_line(t)
-    (var1, beta1, v1), (var2, beta2, v2) = _ar([k1], ts, dt), _ar([k2], ts, dt)
+    (var1, beta1, v1), (var2, beta2, v2) = (_ar(type(k), *_columns([k]), ts, dt) for k in (k1, k2))
     _require_positive(v1[0], order)
     _require_positive(v2[0], order)
     decay1, decay2 = -np.expm1(-beta1 * dt), -np.expm1(-beta2 * dt)
@@ -108,22 +110,21 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
     return j
 
 
-def _markov_nll(kernels, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """NLL of row i of the ``(m, n)`` data ``y`` on sorted points ``t`` under ``kernels[i]``.
+def _markov_nll(kind: type, s2, beta, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NLL of row i of the ``(m, n)`` data ``y`` on sorted ``t`` under row i of ``_ar``'s columns.
 
-    The m kernels are of one Markov class.  ``y_j`` given ``y_{j-1}`` is
-    normal with mean ``rho_j y_{j-1}`` and variance ``v_j``; a row reads
-    ``PENALTY`` where its covariance is singular.  A row costs the operations
-    of the row alone, and ``e·(e/v)`` is one BLAS dot per row (``einsum``
-    reorders the sum), so a row equals the batch of that row alone bit for bit.
+    ``y_j`` given ``y_{j-1}`` is normal with mean ``rho_j y_{j-1}`` and variance ``v_j``; a row
+    reads ``PENALTY`` where its covariance is singular.  Rows share no arithmetic, and the
+    stacked ``matmul`` of the quadratic forms ``e·(e/v)`` is a BLAS dot per row
+    (``einsum`` reorders the sum), so a row equals its batch of one bit for bit.
     """
-    _, beta, v = _ar(kernels, t, dt)
+    _, beta, v = _ar(kind, s2, beta, t, dt)
     singular = ~(v.min(axis=1) > 0)
     # a singular row reads PENALTY; 1 keeps its arithmetic quiet
     v[singular] = 1.0
     e = y.copy()
     e[:, 1:] -= np.exp(-beta * dt) * y[:, :-1]
-    quad = np.array([row @ w for row, w in zip(e, e / v)])
+    quad = (e[:, None, :] @ (e / v)[:, :, None])[:, 0, 0]
     nll = 0.5 * (quad + np.log(v).sum(axis=1)) + 0.5 * y.shape[1] * LOG_2PI
     nll[singular] = PENALTY
     return nll

@@ -61,8 +61,7 @@ def _number(value, key: str, array: bool = False):
     list costs no Python call per entry.  A numeric ndarray can hold none of
     the three, so its entries are not scanned.
     """
-    # a float is one already: a fit builds an ExponentialKernel, which reads
-    # sigma and beta, on every likelihood evaluation
+    # a float is one already: a callable likelihood family builds a kernel per point
     if type(value) is float and not array:
         return value
     numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
@@ -388,8 +387,6 @@ class ExponentialKernel(CovarianceKernel):
     def __post_init__(self):
         object.__setattr__(self, "sigma", _sigma(self.sigma))
         object.__setattr__(self, "beta", _number(self.beta, "beta"))
-        # math.isfinite, not numpy: an ExponentialKernel is built on every
-        # likelihood evaluation of a fit
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ContractError("beta must be finite and strictly positive")
 
@@ -523,10 +520,10 @@ def gram(kernel: CovarianceKernel, design: Design) -> GramMatrix:
     return GramMatrix(np.asarray(kernel.matrix(design.coords), dtype=float))
 
 
-def require_geometry(kernel: CovarianceKernel, design: Design) -> None:
-    """Raise :class:`ContractError` unless ``design`` lies on the kernel's geometry."""
+def require_geometry(kernel: CovarianceKernel | type, design: Design) -> None:
+    """Raise :class:`ContractError` unless ``design`` lies on the geometry of a kernel or kernel class."""
     if design.geometry != kernel.geometry:
-        name = type(kernel).__name__
+        name = getattr(kernel, "__name__", type(kernel).__name__)
         raise ContractError(f"{name} acts on {kernel.geometry}, not {design.geometry}")
 
 

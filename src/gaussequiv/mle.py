@@ -13,14 +13,13 @@ box on the log scale of the parameters, so the box must be positive.  A
 singular covariance met during the search returns ``PENALTY`` instead of
 raising, which keeps the objective total over the box.
 
-The fits take one family, one design and an ``(m, n)`` array of stacked
-data rows: one row in ``fit_mle``, every replicate of a grid size in the
-experiment.  The likelihood follows the Markov rule of
-``j_divergence_trace``: for a Brownian or exponential kernel it sums O(n)
-AR(1) innovations on the sorted design (``_markov._markov_nll``), with no
-Gram matrix, and a batch of points is one array computation with a row per
-point.  Every other kernel goes through the dense Gram matrix, one point at
-a time; the dense path is also the test oracle of the Markov path.
+The fits take one family, one design and an ``(m, n)`` array of stacked data rows: one
+row in ``fit_mle``, every replicate of a grid size in the experiment.  The likelihood
+follows the Markov rule of ``j_divergence_trace``: for a Brownian or exponential kernel it
+sums O(n) AR(1) innovations on the sorted design (``_markov._markov_nll``), with no Gram
+matrix; a batch of points is one array computation on the parameter columns of a Markov
+class family, or on those read off a callable family's kernels.  Every other kernel goes
+through the dense Gram matrix, one point at a time; the dense path is also its test oracle.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -32,14 +31,14 @@ so it is the combination whose RMSE should shrink.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit, logit
 
 from ._csvio import write_csv
-from ._markov import MARKOV_KERNELS, PENALTY, _markov_nll, _sort_line
+from ._markov import MARKOV_KERNELS, PENALTY, _columns, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
@@ -83,13 +82,18 @@ class ParamSpace:
 
 @dataclass(frozen=True, eq=False)
 class LikelihoodProblem:
-    """Data vector on a design together with a parametric kernel family."""
+    """Data vector on a design together with a parametric kernel family.
 
-    family: Callable[[np.ndarray], CovarianceKernel]
+    The family is a callable from theta to a kernel, or ``ExponentialKernel`` or ``BrownianKernel``:
+    theta lists the constructor's parameters in order, and no kernel is built per point."""
+
+    family: Callable[[np.ndarray], CovarianceKernel] | type
     design: Design
     data: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.family, type) and self.family not in MARKOV_KERNELS:
+            raise ContractError(f"a kernel class family must be Markov, not {self.family.__name__}")
         data = _array(self.data, "data", (len(self.design),))
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -140,31 +144,43 @@ class MLEResult:
 def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     """Negative Gaussian log-likelihood of the data at parameter ``theta``.
 
-    A singular covariance yields ``PENALTY`` instead of an exception, so
-    optimizers can treat the objective as total.  A Markov kernel (the rule
-    of ``j_divergence_trace``) is evaluated by its O(n) AR(1) form, every
-    other kernel through the dense Gram matrix.  This is the one-point case
-    of the batched likelihood that the fits evaluate.
+    A singular covariance yields ``PENALTY`` instead of an exception, so optimizers can
+    treat the objective as total.  A Markov kernel or class (the rule of ``j_divergence_trace``)
+    is evaluated by its O(n) AR(1) form, every other kernel through the dense Gram matrix.
+    This is the one-point case of the batched likelihood that the fits evaluate.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return float(_likelihood(problem.family, problem.design, problem.data[None])([0], theta[None])[0])
 
 
 def _likelihood(family, design: Design, data: np.ndarray):
-    """``nll(rows, thetas)``: the NLL of ``data[rows[i]]`` under ``family(thetas[i])`` for every i.
+    """``nll(rows, thetas)``: the NLL of ``data[rows[i]]`` under ``family`` at ``thetas[i]`` for every i.
 
-    ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted
-    once.  When the family gives kernels of one Markov class, the points are
-    one ``_markov_nll`` batch; otherwise each point is evaluated alone, a
-    Markov kernel as a batch of one and any other through its dense Gram
-    matrix, with ``PENALTY`` where that matrix is singular.
+    ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted once.  The
+    ``(m, p)`` ``thetas`` of a Markov kernel class, checked once per batch, or the kernels a
+    callable family gives of one Markov class, are the columns of one ``_markov_nll`` batch;
+    otherwise each point is evaluated alone, a Markov kernel as a batch of one and any other
+    through its dense Gram matrix, with ``PENALTY`` where that matrix is singular.
     """
     order, t, dt = _sort_line(design.coords[:, 0])
     line_data = data[:, order]
 
+    if isinstance(family, type):
+        require_geometry(family, design)
+        p = len(fields(family))
+
+        def columns(rows, thetas: np.ndarray) -> np.ndarray:
+            # p entries in (0, 1e154) pass the constructor's rules; else it reads each row
+            if thetas.shape[1] != p or not (thetas.min() > 0 and thetas.max() < 1e154):
+                for theta in thetas:
+                    family(*_array(theta, "theta", (p,)).tolist())
+            return _markov_nll(family, thetas[:, :1] ** 2, thetas[:, 1:], t, dt, line_data[rows])
+
+        return columns
+
     def markov(kernels, rows) -> np.ndarray:
         require_geometry(kernels[0], design)
-        return _markov_nll(kernels, t, dt, line_data[rows])
+        return _markov_nll(type(kernels[0]), *_columns(kernels), t, dt, line_data[rows])
 
     def point(kernel: CovarianceKernel, row: int) -> float:
         if isinstance(kernel, MARKOV_KERNELS):
@@ -372,10 +388,6 @@ class ConsistencyReport:
     replicates: int
 
 
-def _exponential_family(theta: np.ndarray) -> CovarianceKernel:
-    return ExponentialKernel(sigma=float(theta[0]), beta=float(theta[1]))
-
-
 def _rmse(err: np.ndarray) -> float:
     return math.sqrt(float(np.mean(err**2))) if len(err) else math.nan
 
@@ -395,7 +407,7 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
         batch = sample_paths(gram(kernel0, design), config.replicates, derive_seed(config.seed, n))
-        fits = _fit(_exponential_family, design, batch.samples, space, config.optimizer)
+        fits = _fit(ExponentialKernel, design, batch.samples, space, config.optimizer)
         ok = [fit.theta_hat for fit in fits if fit is not None]
         failed.append(config.replicates - len(ok))
         thetas = np.array(ok).reshape(-1, 2)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussequiv import (
     BrownianKernel,
@@ -32,6 +34,7 @@ from gaussequiv import (
     sample_paths,
 )
 import gaussequiv.mle as mle
+from gaussequiv._markov import _columns
 from gaussequiv.designs import sphere_sequence
 from gaussequiv.mle import PENALTY, _box_map, _likelihood, _nelder_mead, _start_points
 
@@ -103,6 +106,48 @@ class TestNegLogLikelihood:
             gram(exp_family([1.0, 1.0]), design)
         with pytest.raises(ContractError, match=re.escape(str(from_gram.value))):
             neg_log_likelihood(problem, [1.0, 1.0])
+        # a class family is checked once, when its likelihood is built
+        with pytest.raises(ContractError, match=re.escape(str(from_gram.value))):
+            _likelihood(ExponentialKernel, design, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize(
+        "kind, family, theta",
+        [
+            (ExponentialKernel, exp_family, [-1.0, 1.0]),
+            (ExponentialKernel, exp_family, [1.0, 0.0]),
+            (ExponentialKernel, exp_family, [np.nan, 1.0]),
+            (ExponentialKernel, exp_family, [1.0, np.nan]),
+            (ExponentialKernel, exp_family, [1.0, np.inf]),
+            (ExponentialKernel, exp_family, [1e200, 1.0]),
+            (BrownianKernel, brownian_family, [0.0]),
+            (BrownianKernel, brownian_family, [-np.inf]),
+        ],
+    )
+    def test_class_family_rejects_theta_as_its_lambda_does(self, kind, family, theta):
+        # sigma > 0 with a finite square, beta > 0 and finite: the constructor's rules and words
+        design, y = simulate(10, 1.0, 1.0, seed=2)
+        with pytest.raises(ContractError) as by_lambda:
+            neg_log_likelihood(LikelihoodProblem(family, design, y), theta)
+        with pytest.raises(ContractError, match=re.escape(str(by_lambda.value))):
+            neg_log_likelihood(LikelihoodProblem(kind, design, y), theta)
+
+    def test_class_family_takes_every_theta_its_lambda_takes(self):
+        # beta = 1e200 has no finite square but is a valid rate
+        design, y = simulate(10, 1.0, 1.0, seed=2)
+        for theta in ([1.0, 1e200], [1e-200, 1.0], [1e150, 1e-300]):
+            by_class = neg_log_likelihood(LikelihoodProblem(ExponentialKernel, design, y), theta)
+            assert by_class == neg_log_likelihood(LikelihoodProblem(exp_family, design, y), theta)
+
+    def test_class_family_needs_one_entry_per_parameter(self):
+        design, y = simulate(10, 1.0, 1.0, seed=2)
+        with pytest.raises(ContractError, match=re.escape("theta must have shape (2,), not (3,)")):
+            neg_log_likelihood(LikelihoodProblem(ExponentialKernel, design, y), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("kind", [SchoenbergKernel, dict])
+    def test_class_family_must_be_markov(self, kind):
+        design, y = simulate(10, 1.0, 1.0, seed=2)
+        with pytest.raises(ContractError, match=f"Markov, not {kind.__name__}"):
+            LikelihoodProblem(kind, design, y)
 
     @pytest.mark.parametrize(
         "family, p, domain",
@@ -468,6 +513,58 @@ class TestLockstepMatchesScipy:
         assert batched[-1] == PENALTY
         for value, r, theta in zip(batched[:-1], rows, thetas):
             assert value == pytest.approx(-gaussian_logpdf(gram(family(theta), design), data[r]), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "kind, family, p", [(ExponentialKernel, exp_family, 2), (BrownianKernel, brownian_family, 1)],
+        ids=["exponential", "brownian"],
+    )
+    def test_class_family_equals_its_lambda(self, rng, kind, family, p):
+        # the class reads parameter columns, the lambda builds a kernel per point
+        space = ParamSpace([0.05] * p, [20.0] * p)
+        for n in (2, 3, 8, 31, 64, 199, 200, 401, 1000, 1001):
+            design = Design.interval(np.sort(rng.uniform(0.01, 1.0, n)))
+            data = rng.standard_normal((4, n))
+            rows = np.array([0, 1, 2, 3, 3, 1, 0])
+            thetas = np.exp(rng.normal(size=(len(rows), p)))
+            # sigma^2 underflows to 0: a penalized row inside the batch
+            thetas[4, 0] = 1e-200
+            by_class = _likelihood(kind, design, data)(rows, thetas)
+            assert by_class.tobytes() == _likelihood(family, design, data)(rows, thetas).tobytes()
+            assert by_class[4] == PENALTY and np.all(by_class[np.arange(len(rows)) != 4] < PENALTY)
+            if n in (2, 31, 1001):
+                fits = [mle._fit(f, design, data[:2], space, OptimizerConfig()) for f in (kind, family)]
+                for a, b in zip(*fits):
+                    assert (a.theta_hat.tobytes(), a.loglik, a.evaluations) == (b.theta_hat.tobytes(), b.loglik, b.evaluations)
+                    assert (a.penalized_evaluations, a.maxfev_starts) == (b.penalized_evaluations, b.maxfev_starts)
+
+    def test_brownian_class_through_the_origin_equals_its_lambda(self, rng):
+        design = Design.interval(np.r_[0.0, np.sort(rng.uniform(0.01, 1.0, 9))])
+        data = rng.standard_normal((3, 10))
+        rows, thetas = np.array([0, 1, 2, 1]), np.array([[0.5], [1.0], [2.0], [3.0]])
+        by_class = _likelihood(BrownianKernel, design, data)(rows, thetas)
+        assert list(by_class) == [PENALTY] * 4
+        assert by_class.tobytes() == _likelihood(brownian_family, design, data)(rows, thetas).tobytes()
+        space, config = ParamSpace([0.05], [20.0]), OptimizerConfig(starts=2, max_evals=40)
+        assert mle._fit(BrownianKernel, design, data, space, config) == [None] * 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 1001), m=st.integers(1, 250), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_quadratic_forms_equal_row_dots(self, n, m, seed):
+        # the one matmul of _markov_nll against one BLAS dot per row
+        rng = np.random.default_rng(seed)
+        e, v = rng.standard_normal((m, n)), rng.uniform(0.01, 2.0, (m, n))
+        stacked = (e[:, None, :] @ (e / v)[:, :, None])[:, 0, 0]
+        assert stacked.tobytes() == np.array([row @ w for row, w in zip(e, e / v)]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=300))
+    def test_column_squares_are_products_over_the_box(self, sigma):
+        # a class squares its sigma column in numpy and a callable family's
+        # kernels are read the same way: each square is sigma * sigma, rounded once
+        products = [s * s for s in sigma]
+        column = np.array(sigma)[:, None] ** 2
+        kernels = [ExponentialKernel(s, 1.0) for s in sigma]
+        assert column.tobytes() == np.array(products)[:, None].tobytes() == _columns(kernels)[0].tobytes()
 
     def test_package_import_leaves_scipy_optimize_out(self):
         script = "import gaussequiv, sys; assert 'scipy.optimize' not in sys.modules"
