@@ -6,7 +6,7 @@ the exponential (Ornstein-Uhlenbeck) kernel are Markov:
 ``e_i ~ N(0, v_i)`` and ``e_0 = X_0``.  The precision matrix is therefore
 ``B' D^{-1} B`` with B bidiagonal, and a likelihood or a J-divergence on n
 points costs O(n) after sorting, with no Gram matrix.  Both read one AR(1)
-form (``_ar``, a kernel class and one row of parameter columns per kernel);
+form (``_ar``, a kernel class and one theta row of its parameters per kernel);
 the dense Gram path is their oracle.  The likelihood takes ``(m, n)`` stacked
 data rows and reads ``PENALTY`` on each singular row, where the J raises.
 """
@@ -14,6 +14,7 @@ data rows and reads ``PENALTY`` on each singular row, where the J raises.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
@@ -28,17 +29,12 @@ PENALTY = 1e10
 MARKOV_KERNELS = (ExponentialKernel, BrownianKernel)
 
 
-def _columns(kernels) -> tuple[np.ndarray, np.ndarray]:
-    """``(s2, beta)`` columns of Markov kernels: numpy's ``sigma * sigma`` (not libm ``pow``), Brownian beta 0."""
-    sigma = np.array([[k.sigma] for k in kernels])
-    return sigma**2, np.array([[getattr(k, "beta", 0.0)] for k in kernels])
+def _ar(kind: type, theta: np.ndarray, t: np.ndarray, dt: np.ndarray):
+    """AR(1) form of Markov class ``kind`` at ``(m, p)`` theta rows on sorted ``t``.
 
-
-def _ar(kind: type, s2, beta, t: np.ndarray, dt: np.ndarray):
-    """AR(1) form of Markov class ``kind`` with ``(m, 1)`` columns ``s2`` and ``beta`` on sorted ``t``.
-
-    Returns ``(prev_var, beta, v)`` with one row per kernel: ``rho_i =
-    exp(-beta dt_i)`` is the coefficient of ``X_{i-1}`` in ``X_i``,
+    The one split of theta, ``(sigma, beta)`` or ``(sigma,)``: ``s^2 = sigma * sigma``,
+    rounded once as in ``matrix``.  Returns ``(prev_var, beta, v)`` with one row per
+    kernel: ``rho_i = exp(-beta dt_i)`` is the coefficient of ``X_{i-1}`` in ``X_i``,
     ``prev_var`` is ``R(t_{i-1}, t_{i-1})`` for i >= 1 and ``v[:, i]`` is the
     innovation variance, ``v[:, 0] = R(t_0, t_0)``.  Each operation is
     elementwise, so a row is the arithmetic of its kernel alone, bit for bit.
@@ -48,8 +44,10 @@ def _ar(kind: type, s2, beta, t: np.ndarray, dt: np.ndarray):
     - Brownian: ``prev_var = s^2 t[:-1]``, ``beta = 0`` (so ``rho = 1``
       exactly), ``v = [s^2 t_0, s^2 dt]``.
     """
-    v = np.empty((len(s2), len(t)))
-    if kind is ExponentialKernel:
+    s2 = theta[:, :1] * theta[:, :1]
+    v = np.empty((len(theta), len(t)))
+    if issubclass(kind, ExponentialKernel):
+        beta = theta[:, 1:]
         v[:, :1] = s2
         v[:, 1:] = -s2 * np.expm1(-2.0 * beta * dt)
         return s2, beta, v
@@ -98,7 +96,7 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
         If an innovation variance is not positive; see ``_require_positive``.
     """
     order, ts, dt = _sort_line(t)
-    (var1, beta1, v1), (var2, beta2, v2) = (_ar(type(k), *_columns([k]), ts, dt) for k in (k1, k2))
+    (var1, beta1, v1), (var2, beta2, v2) = (_ar(type(k), np.array([astuple(k)]), ts, dt) for k in (k1, k2))
     _require_positive(v1[0], order)
     _require_positive(v2[0], order)
     decay1, decay2 = -np.expm1(-beta1 * dt), -np.expm1(-beta2 * dt)
@@ -110,15 +108,15 @@ def markov_j_divergence(k1, k2, t: np.ndarray) -> float:
     return j
 
 
-def _markov_nll(kind: type, s2, beta, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """NLL of row i of the ``(m, n)`` data ``y`` on sorted ``t`` under row i of ``_ar``'s columns.
+def _markov_nll(kind: type, theta: np.ndarray, t: np.ndarray, dt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NLL of row i of the ``(m, n)`` data ``y`` on sorted ``t`` under theta row i of class ``kind``.
 
     ``y_j`` given ``y_{j-1}`` is normal with mean ``rho_j y_{j-1}`` and variance ``v_j``; a row
     reads ``PENALTY`` where its covariance is singular.  Rows share no arithmetic, and the
     stacked ``matmul`` of the quadratic forms ``e·(e/v)`` is a BLAS dot per row
     (``einsum`` reorders the sum), so a row equals its batch of one bit for bit.
     """
-    _, beta, v = _ar(kind, s2, beta, t, dt)
+    _, beta, v = _ar(kind, theta, t, dt)
     singular = ~(v.min(axis=1) > 0)
     # a singular row reads PENALTY; 1 keeps its arithmetic quiet
     v[singular] = 1.0

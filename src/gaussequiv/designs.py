@@ -111,6 +111,8 @@ def fibonacci_sphere_designs(sizes: Sequence[int], sphere_dim: int = 3) -> list[
 
 
 def is_prefix_nested(designs: Sequence[Design]) -> bool:
-    """True when each design strictly extends the previous one as an exact prefix."""
-    pairs = zip(designs, designs[1:])
-    return all(len(a) < len(b) and a.is_prefix_of(b) for a, b in pairs)
+    """True when each design strictly extends the previous one, on its geometry, as an exact prefix."""
+    return all(
+        a.geometry == b.geometry and len(a) < len(b) and np.array_equal(a.coords, b.coords[: len(a)])
+        for a, b in zip(designs, designs[1:])
+    )

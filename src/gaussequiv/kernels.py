@@ -47,6 +47,7 @@ __all__ = [
 
 SPHERE_NORM_TOL = 1e-12
 SYMMETRY_RTOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 # entries per block of SchoenbergKernel.matrix: six working arrays of 128 KiB
 # each, which stay in a 1-2 MiB per-core L2 cache
 _BLOCK_ENTRIES = 1 << 14
@@ -87,12 +88,9 @@ def _array(value, key: str, shape: tuple) -> np.ndarray:
 
 def _integer(value, key: str, least: int) -> int:
     """A count >= ``least`` as an int; a float must be integral (16.0 is 16, 16.5 an error)."""
-    # an int below 2**1023, which a float holds, needs no scan:
-    # harmonic_dimensions reads one degree per term
-    if type(value) is not int or value.bit_length() > 1023:
-        if not _number(value, key).is_integer():
-            raise ContractError(f"{key} must be an integer, not {value!r}")
-        value = int(value)
+    if not _number(value, key).is_integer():
+        raise ContractError(f"{key} must be an integer, not {value!r}")
+    value = int(value)
     if value < least:
         raise ContractError(f"{key} must be >= {least}, not {value}")
     return value
@@ -174,11 +172,6 @@ class Design:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def is_prefix_of(self, other: "Design") -> bool:
-        if self.geometry != other.geometry or len(self) > len(other):
-            return False
-        return bool(np.array_equal(self.coords, other.coords[: len(self)]))
-
     @staticmethod
     def interval(values: Sequence[float]) -> "Design":
         """Design of scalar points on the real line."""
@@ -218,14 +211,21 @@ def harmonic_dimension(d: int, k: int) -> int:
     Computed as ``C(k+d-1, d-1) - C(k+d-3, d-1)`` with the convention
     ``C(m, j) = 0`` for ``m < j``; equals ``2k+1`` when ``d = 3``.
     """
-    d, k = _sphere_degree(d, k)
+    return _harmonic(*_sphere_degree(d, k))
+
+
+def _harmonic(d: int, k: int) -> int:
     return math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1)
 
 
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
-    """Vector of harmonic dimensions for degrees 0..max_degree."""
+    """Harmonic dimensions for degrees 0..max_degree, increasing; one past a float raises ContractError."""
     d, last = _sphere_degree(d, max_degree)
-    return np.array([harmonic_dimension(d, k) for k in range(last + 1)], dtype=float)
+    dims = [_harmonic(d, k) for k in range(last + 1)]
+    if dims[-1] > _FLOAT_MAX:
+        k = next(k for k, h in enumerate(dims) if h > _FLOAT_MAX)
+        raise ContractError(f"harmonic dimension of degree {k} on S^{d - 1} (d = {d}) exceeds a float")
+    return np.array(dims, dtype=float)
 
 
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
@@ -348,7 +348,7 @@ class CovarianceKernel(ABC):
 def _sigma(sigma) -> float:
     """``sigma`` read as a JSON number, once it is checked to be > 0 with a finite square."""
     sigma = _number(sigma, "sigma")
-    # sigma * sigma overflows to inf where sigma**2 raises OverflowError
+    # the square every kernel path uses; it overflows to inf, where a float power raises
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
         raise ContractError("sigma must be finite and strictly positive, with a finite square")
     return sigma
@@ -366,7 +366,7 @@ class BrownianKernel(CovarianceKernel):
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = _half_line(coords[:, 0])
-        return self.sigma**2 * np.minimum.outer(t, t)
+        return self.sigma * self.sigma * np.minimum.outer(t, t)
 
 
 def _half_line(t: np.ndarray) -> np.ndarray:
@@ -393,7 +393,7 @@ class ExponentialKernel(CovarianceKernel):
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
         dist = np.abs(t[:, None] - t[None, :])
-        return self.sigma**2 * np.exp(-self.beta * dist)
+        return self.sigma * self.sigma * np.exp(-self.beta * dist)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ The fits take one family, one design and an ``(m, n)`` array of stacked data row
 row in ``fit_mle``, every replicate of a grid size in the experiment.  The likelihood
 follows the Markov rule of ``j_divergence_trace``: for a Brownian or exponential kernel it
 sums O(n) AR(1) innovations on the sorted design (``_markov._markov_nll``), with no Gram
-matrix; a batch of points is one array computation on the parameter columns of a Markov
-class family, or on those read off a callable family's kernels.  Every other kernel goes
+matrix; a batch of points is one array computation on the theta rows of a Markov class
+family, or on those read off a callable family's kernels.  Every other kernel goes
 through the dense Gram matrix, one point at a time; the dense path is also its test oracle.
 
 The microergodic experiment simulates an exponential-kernel process on
@@ -31,14 +31,14 @@ so it is the combination whose RMSE should shrink.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit, logit
 
 from ._csvio import write_csv
-from ._markov import MARKOV_KERNELS, PENALTY, _columns, _markov_nll, _sort_line
+from ._markov import MARKOV_KERNELS, PENALTY, _markov_nll, _sort_line
 from .divergence import gaussian_logpdf
 from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
@@ -156,10 +156,10 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
 def _likelihood(family, design: Design, data: np.ndarray):
     """``nll(rows, thetas)``: the NLL of ``data[rows[i]]`` under ``family`` at ``thetas[i]`` for every i.
 
-    ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted once.  The
-    ``(m, p)`` ``thetas`` of a Markov kernel class, checked once per batch, or the kernels a
-    callable family gives of one Markov class, are the columns of one ``_markov_nll`` batch;
-    otherwise each point is evaluated alone, a Markov kernel as a batch of one and any other
+    ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted once.  The ``(m, p)``
+    ``thetas`` of a Markov kernel class, checked once per batch, or the theta rows (``astuple``)
+    of the kernels a callable family gives of one Markov class, are one ``_markov_nll`` batch; a
+    batch of several classes is evaluated point by point, and a kernel of any other class
     through its dense Gram matrix, with ``PENALTY`` where that matrix is singular.
     """
     order, t, dt = _sort_line(design.coords[:, 0])
@@ -169,33 +169,28 @@ def _likelihood(family, design: Design, data: np.ndarray):
         require_geometry(family, design)
         p = len(fields(family))
 
-        def columns(rows, thetas: np.ndarray) -> np.ndarray:
-            # p entries in (0, 1e154) pass the constructor's rules; else it reads each row
-            if thetas.shape[1] != p or not (thetas.min() > 0 and thetas.max() < 1e154):
-                for theta in thetas:
-                    family(*_array(theta, "theta", (p,)).tolist())
-            return _markov_nll(family, thetas[:, :1] ** 2, thetas[:, 1:], t, dt, line_data[rows])
-
-        return columns
-
-    def markov(kernels, rows) -> np.ndarray:
-        require_geometry(kernels[0], design)
-        return _markov_nll(type(kernels[0]), *_columns(kernels), t, dt, line_data[rows])
-
-    def point(kernel: CovarianceKernel, row: int) -> float:
-        if isinstance(kernel, MARKOV_KERNELS):
-            return markov([kernel], [row])[0]
+    def dense(kernel: CovarianceKernel, row: int) -> float:
         try:
             return -gaussian_logpdf(gram(kernel, design), data[row])
         except SingularGramError:
             return PENALTY
 
     def nll(rows, thetas: np.ndarray) -> np.ndarray:
-        kernels = [family(theta) for theta in thetas]
-        kind = type(kernels[0])
-        if issubclass(kind, MARKOV_KERNELS) and all(type(k) is kind for k in kernels):
-            return markov(kernels, rows)
-        return np.array([point(k, r) for k, r in zip(kernels, rows)])
+        kind = family
+        if not isinstance(family, type):
+            kernels = [family(theta) for theta in thetas]
+            kind = type(kernels[0])
+            if any(type(k) is not kind for k in kernels):
+                return np.concatenate([nll(rows[i : i + 1], thetas[i : i + 1]) for i in range(len(rows))])
+            if not issubclass(kind, MARKOV_KERNELS):
+                return np.array([dense(k, r) for k, r in zip(kernels, rows)])
+            require_geometry(kind, design)
+            thetas = np.array([astuple(k) for k in kernels])
+        # p entries in (0, 1e154) pass the constructor's rules; else it reads each row
+        elif thetas.shape[1] != p or not (thetas.min() > 0 and thetas.max() < 1e154):
+            for theta in thetas:
+                family(*_array(theta, "theta", (p,)).tolist())
+        return _markov_nll(kind, thetas, t, dt, line_data[rows])
 
     return nll
 

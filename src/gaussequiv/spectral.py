@@ -33,7 +33,6 @@ __all__ = [
     "ConstantRatio",
     "sphere_equivalence_sum",
     "chow_sum",
-    "check_shared_atoms",
     "spectra_from_ratio_model",
     "atomic_measure_from_spectrum",
     "criterion_to_csv",
@@ -81,8 +80,8 @@ class AtomicSpectralMeasure:
             raise ContractError("atom labels must be unique")
         if not np.all((masses > 0) & (masses < math.inf)):
             raise ContractError("atom masses must be finite and strictly positive")
-        if not np.all((dims >= 1) & (dims < math.inf) & (dims == np.floor(dims))):
-            raise ContractError("atom dimensions must be integers >= 1")
+        if not np.all((dims >= 1) & (dims < 2.0**63) & (dims == np.floor(dims))):
+            raise ContractError("atom dimensions must be integers in [1, 2**63)")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "dims", dims.astype(int))
 
@@ -305,11 +304,6 @@ def chow_sum(
     )
 
 
-def check_shared_atoms(m1: AtomicSpectralMeasure, m2: AtomicSpectralMeasure) -> bool:
-    """True iff the two measures carry exactly the same set of atom labels."""
-    return set(m1.labels) == set(m2.labels)
-
-
 def atomic_measure_from_spectrum(spectrum: SchoenbergSpectrum) -> AtomicSpectralMeasure:
     """Atomic measure induced by a spectrum: one atom per positive degree.
 
@@ -324,7 +318,7 @@ def atomic_measure_from_spectrum(spectrum: SchoenbergSpectrum) -> AtomicSpectral
     return AtomicSpectralMeasure(
         labels=tuple(f"k{k}" for k in ks),
         masses=spectrum.coeffs[ks] * h,
-        dims=h.astype(int),
+        dims=h,
     )
 
 

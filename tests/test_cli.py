@@ -212,6 +212,13 @@ class TestSphere:
         assert f"K must be >= 0, not {last_k}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_harmonic_dimension_exit_code(self, tmp_path, capsys):
+        config = {"sphere_dim": 500, "K": 1000, "ratio_model": {"type": "power", "c": 1.0, "s": 2.0}}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["sphere", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "harmonic dimension of degree 532 on S^499 (d = 500) exceeds a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_ratio_model_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -284,6 +291,19 @@ class TestChow:
             tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2}
         )
         assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("dim", [1e19, 2**63])
+    def test_dimension_past_int64_exit_code(self, tmp_path, capsys, dim):
+        # an int64 cast would wrap these to negative weights
+        self._measures(tmp_path)
+        for name in ("m1.json", "m2.json"):
+            bad = json.loads((tmp_path / name).read_text())
+            bad["atoms"][1]["dim"] = dim
+            (tmp_path / name).write_text(json.dumps(bad))
+        cfg = write_config(tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2})
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "atom dimensions must be integers in [1, 2**63)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, value",

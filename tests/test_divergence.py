@@ -223,6 +223,16 @@ class TestJDivergenceTrace:
             want = j_divergence(gram(k1, d), gram(k2, d))
             assert value == pytest.approx(want, rel=1e-9)
 
+    def test_subclass_of_a_markov_kernel_keeps_its_ar_form(self):
+        # a subclass is Markov by the isinstance rule, and its theta rows are its base's
+        class Subclass(ExponentialKernel):
+            pass
+
+        designs = dyadic_interval_designs(16)
+        sub = j_divergence_trace(Subclass(1.0, 2.0), Subclass(1.0, 1.0), designs).values
+        base = j_divergence_trace(ExponentialKernel(1.0, 2.0), ExponentialKernel(1.0, 1.0), designs).values
+        assert sub.tobytes() == base.tobytes() and np.all(base > 0)
+
     def test_dyadic_ou_trace_to_2_pow_20_non_decreasing(self):
         designs = dyadic_interval_designs(2**20)
         k1, k2 = ExponentialKernel(1.0, 2.0), ExponentialKernel(2.0**0.5, 1.0)

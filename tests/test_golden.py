@@ -145,7 +145,7 @@ PUBLIC_NAMES = [
     "Geometry", "GramMatrix", "LikelihoodProblem", "MLEResult",
     "OptimizationFailedError", "OptimizerConfig", "ParamSpace", "PowerLawRatio", "RatioModel",
     "SampleBatch", "SchoenbergKernel", "SchoenbergSpectrum", "SingularGramError", "Verdict",
-    "VerdictLabel", "atomic_measure_from_spectrum", "batch_to_csv", "check_shared_atoms",
+    "VerdictLabel", "atomic_measure_from_spectrum", "batch_to_csv",
     "chow_sum", "cli", "criterion_to_csv", "derive_seed", "designs", "dichotomy_diagnostic",
     "divergence", "dyadic_interval_designs", "dyadic_interval_points", "empirical_covariance",
     "equispaced_interval_design", "errors", "eval_kernel", "fibonacci_sphere_designs",

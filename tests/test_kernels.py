@@ -24,6 +24,7 @@ from gaussequiv import (
     gram_from_matrix,
     harmonic_dimension,
     harmonic_dimensions,
+    is_prefix_nested,
     kernel_from_json,
     rkhs_norm,
 )
@@ -199,8 +200,8 @@ class TestDesign:
 
     def test_prefix(self):
         d, head = Design.interval([0.1, 0.2, 0.3]), Design.interval([0.1, 0.2])
-        assert head.is_prefix_of(d)
-        assert not d.is_prefix_of(head)
+        assert is_prefix_nested([head, d])
+        assert not is_prefix_nested([d, head])
 
     def test_from_json_rejects_malformed_points(self):
         geometry = {"kind": "euclidean", "dim": 1}
@@ -252,6 +253,15 @@ class TestHarmonicDimension:
         with pytest.raises(ContractError):
             harmonic_dimension(3, -1)
 
+    def test_overflow_names_the_sphere_and_the_degree(self):
+        # h(531) on S^499 is about 1.28e308; h(532) is past the largest float
+        message = r"harmonic dimension of degree 532 on S\^499 \(d = 500\) exceeds a float"
+        assert harmonic_dimensions(500, 531)[-1] == float(harmonic_dimension(500, 531)) < math.inf
+        with pytest.raises(ContractError, match=message):
+            harmonic_dimensions(500, 1000)
+        with pytest.raises(ContractError, match=message):
+            SchoenbergSpectrum(500, np.ones(1001)).harmonic_dims
+
 
 # the three special functions as functions of (d, k); one rule reads both
 SPECIAL = {
@@ -268,6 +278,12 @@ class TestSphereDimensionAndDegree:
     def test_non_counts_rejected(self, name, which, bad):
         d, k = (bad, 2) if which == "d" else (4, bad)
         with pytest.raises(ContractError, match=f"{which} must be"):
+            SPECIAL[name](d, k)
+
+    @pytest.mark.parametrize("which", ["d", "degree"])
+    def test_count_past_a_float_rejected(self, name, which):
+        d, k = (10**400, 2) if which == "d" else (4, 10**400)
+        with pytest.raises(ContractError, match=f"{which} is too large for a float"):
             SPECIAL[name](d, k)
 
     @pytest.mark.parametrize("d, k", [(2, 1), (3, -1)])

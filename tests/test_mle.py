@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from gaussequiv import (
     sample_paths,
 )
 import gaussequiv.mle as mle
-from gaussequiv._markov import _columns
+from gaussequiv._markov import _ar
 from gaussequiv.designs import sphere_sequence
 from gaussequiv.mle import PENALTY, _box_map, _likelihood, _nelder_mead, _start_points
 
@@ -48,6 +49,14 @@ def exp_family(theta):
 
 def brownian_family(theta):
     return BrownianKernel(sigma=float(theta[0]))
+
+
+def one_square(kind, sigma):
+    """The set of the bytes of ``matrix``'s diagonal at t = 1, ``sigma * sigma`` and ``_ar``'s ``v[:, 0]``."""
+    kernel = BrownianKernel(sigma) if kind is BrownianKernel else ExponentialKernel(sigma, 0.7)
+    t = np.ones(1)
+    v = _ar(kind, np.array([astuple(kernel)]), t, t[1:])[2]
+    return {np.float64(s).tobytes() for s in (kernel.matrix(t[:, None])[0, 0], sigma * sigma, v[0, 0])}
 
 
 def simulate(n, sigma, beta, seed, domain=(0.0, 1.0)):
@@ -559,12 +568,26 @@ class TestLockstepMatchesScipy:
     @settings(max_examples=40, deadline=None)
     @given(sigma=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=300))
     def test_column_squares_are_products_over_the_box(self, sigma):
-        # a class squares its sigma column in numpy and a callable family's
-        # kernels are read the same way: each square is sigma * sigma, rounded once
-        products = [s * s for s in sigma]
-        column = np.array(sigma)[:, None] ** 2
-        kernels = [ExponentialKernel(s, 1.0) for s in sigma]
-        assert column.tobytes() == np.array(products)[:, None].tobytes() == _columns(kernels)[0].tobytes()
+        # _ar squares a class's sigma column, and a callable family's kernels are
+        # read as the same theta rows: each square is sigma * sigma, rounded once
+        products = np.array([s * s for s in sigma])
+        t = np.ones(1)
+        thetas = np.array([astuple(ExponentialKernel(s, 1.0)) for s in sigma])
+        for kind, theta in ((ExponentialKernel, thetas), (BrownianKernel, thetas[:, :1])):
+            assert _ar(kind, theta, t, t[1:])[2][:, 0].tobytes() == products.tobytes()
+
+    @pytest.mark.parametrize("kind", [ExponentialKernel, BrownianKernel])
+    @pytest.mark.parametrize("sigma", [16.203729979459915, 12.48271618173295, 10.966535359799893])
+    def test_dense_and_markov_paths_share_one_square(self, kind, sigma):
+        # libm's pow gives sigma**2 one ulp away from sigma * sigma at these sigmas
+        assert sigma**2 != sigma * sigma
+        assert len(one_square(kind, sigma)) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(0.05, 20.0))
+    def test_dense_and_markov_squares_agree_over_the_box(self, sigma):
+        for kind in (ExponentialKernel, BrownianKernel):
+            assert len(one_square(kind, sigma)) == 1
 
     def test_package_import_leaves_scipy_optimize_out(self):
         script = "import gaussequiv, sys; assert 'scipy.optimize' not in sys.modules"

@@ -23,6 +23,7 @@ from gaussequiv import (
     gaussian_logpdf,
     gram,
     gegenbauer_normalized,
+    is_prefix_nested,
     j_divergence,
     j_divergence_trace,
     neg_log_likelihood,
@@ -116,7 +117,9 @@ def test_design_json_roundtrip_and_prefix(design, data):
     assert again.coords.dtype == design.coords.dtype
     assert again.coords.tobytes() == design.coords.tobytes()
     m = data.draw(st.integers(1, len(design)))
-    assert Design(design.coords[:m], design.geometry).is_prefix_of(design)
+    head = Design(design.coords[:m], design.geometry)
+    assert is_prefix_nested([head, design]) == (m < len(design))
+    assert not is_prefix_nested([design, head])
 
 
 @SETTINGS

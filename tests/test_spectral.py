@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gaussequiv import (
     SchoenbergSpectrum,
     Verdict,
     atomic_measure_from_spectrum,
-    check_shared_atoms,
     chow_sum,
     criterion_to_csv,
     harmonic_dimensions,
@@ -147,6 +147,15 @@ class TestChowSum:
         np.testing.assert_allclose(atoms.terms, sphere.terms, atol=1e-12)
         np.testing.assert_allclose(atoms.partial_sums, sphere.partial_sums, atol=1e-12)
 
+    def test_induced_dimensions_past_int64_rejected(self):
+        # h(k) on S^28 reaches 2**63 at k = 41: a ContractError, with no cast warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = atomic_measure_from_spectrum(SchoenbergSpectrum(29, np.ones(41)))
+            assert m.dims.dtype.kind == "i" and m.dims[-1] == harmonic_dimensions(29, 40)[-1]
+            with pytest.raises(ContractError, match=r"atom dimensions must be integers in \[1, 2\*\*63\)"):
+                atomic_measure_from_spectrum(SchoenbergSpectrum(29, np.ones(120)))
+
     def test_grenander_is_unit_dims(self, rng):
         """With all dimensions 1 the sum is exactly the unweighted criterion."""
         n = 50
@@ -180,22 +189,6 @@ class TestChowSum:
         m = AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([1]))
         with pytest.raises(ContractError):
             chow_sum(m, m, 2)
-
-
-class TestCheckSharedAtoms:
-    def test_identical(self):
-        m = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 2.0]), np.array([1, 1]))
-        assert check_shared_atoms(m, m)
-
-    def test_extra_atom(self):
-        m1 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 2.0]), np.array([1, 1]))
-        m2 = AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([1]))
-        assert not check_shared_atoms(m1, m2)
-
-    def test_permutation_invariant(self):
-        m1 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 2.0]), np.array([1, 1]))
-        m2 = AtomicSpectralMeasure(("b", "a"), np.array([5.0, 2.0]), np.array([2, 1]))
-        assert check_shared_atoms(m1, m2)
 
 
 class TestTailModels:
@@ -308,6 +301,14 @@ class TestInputValidation:
         m = AtomicSpectralMeasure(["1", "2"], [1.0, 2.0], [1, 1])
         assert m.labels == ("1", "2")
         assert AtomicSpectralMeasure.from_json(m.to_json()).labels == ("1", "2")
+
+    def test_dimensions_bounded_below_int64_overflow(self):
+        # 2**63 - 1024 is the largest float below 2**63 and is an int64 exactly
+        m = AtomicSpectralMeasure(("a", "b"), [1.0, 2.0], [1, 2.0**63 - 1024])
+        assert m.dims.dtype.kind == "i" and int(m.dims[1]) == 2**63 - 1024
+        for dim in (2.0**63, 1e19, 2**63):
+            with pytest.raises(ContractError, match=r"atom dimensions must be integers in \[1, 2\*\*63\)"):
+                AtomicSpectralMeasure(("a", "b"), [1.0, 2.0], [1, dim])
 
     def test_integral_float_dim_accepted(self):
         m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2.0}]})
