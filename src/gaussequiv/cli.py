@@ -22,6 +22,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
+from ._csvio import atomic_open
 from .designs import (
     dyadic_interval_designs,
     dyadic_interval_points,
@@ -52,7 +53,8 @@ EXIT_OPTIMIZATION = 5
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _fail(msg: str, code: int) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -201,8 +200,8 @@ def dichotomy_diagnostic(trace: DivergenceTrace) -> DichotomyVerdict:
 
 def trace_to_csv(trace: DivergenceTrace, path) -> None:
     """Write the trace with header ``n,J,slope_estimate``."""
-    rows = zip(trace.sizes, map(float, trace.values), repeat(float(trace.slope_estimate)))
-    write_csv(path, ["n", "J", "slope_estimate"], rows)
+    slope = np.full(len(trace.sizes), trace.slope_estimate)
+    write_csv(path, ["n", "J", "slope_estimate"], (trace.sizes, trace.values, slope))
 
 
 def trace_to_json(trace: DivergenceTrace, verdict: DichotomyVerdict) -> dict:

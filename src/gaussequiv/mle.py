@@ -421,12 +421,6 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
 
 def report_to_csv(report: ConsistencyReport, path) -> None:
     """Write the report with header ``n,rmse_sigma2,rmse_beta,rmse_microergodic,failed_replicates``."""
-    rows = zip(
-        report.n_grid,
-        map(float, report.rmse_sigma2),
-        map(float, report.rmse_beta),
-        map(float, report.rmse_microergodic),
-        report.failed,
-    )
     header = ["n", "rmse_sigma2", "rmse_beta", "rmse_microergodic", "failed_replicates"]
-    write_csv(path, header, rows)
+    columns = (report.n_grid, report.rmse_sigma2, report.rmse_beta, report.rmse_microergodic, report.failed)
+    write_csv(path, header, columns)

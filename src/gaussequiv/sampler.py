@@ -72,4 +72,4 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
 
 def batch_to_csv(batch: SampleBatch, path) -> None:
     """Write the batch, one replicate per row, no header."""
-    write_csv(path, None, (row.tolist() for row in batch.samples))
+    write_csv(path, None, batch.samples.T)

@@ -75,15 +75,18 @@ class AtomicSpectralMeasure:
         if not all(issubclass(t, str) for t in set(map(type, self.labels))):
             raise ContractError("atom labels must be JSON strings")
         masses = _array(self.masses, "mass", (len(self.labels),))
-        dims = _array(self.dims, "dim", (len(self.labels),))
+        whole = _array(self.dims, "dim", (len(self.labels),))
+        # the checked entries as given, so an integer past 2**53 is compared and kept exactly
+        dims = np.asarray(self.dims, dtype=object)
         if len(set(self.labels)) != len(self.labels):
             raise ContractError("atom labels must be unique")
         if not np.all((masses > 0) & (masses < math.inf)):
             raise ContractError("atom masses must be finite and strictly positive")
-        if not np.all((dims >= 1) & (dims < 2.0**63) & (dims == np.floor(dims))):
+        integral = np.all((whole >= 1) & (whole <= 2.0**63) & (whole == np.floor(whole)))
+        if not (integral and np.all(dims < 2**63)):  # the exact bound sees finite numbers only
             raise ContractError("atom dimensions must be integers in [1, 2**63)")
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "dims", dims.astype(int))
+        object.__setattr__(self, "dims", dims.astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -324,5 +327,4 @@ def atomic_measure_from_spectrum(spectrum: SchoenbergSpectrum) -> AtomicSpectral
 
 def criterion_to_csv(result: CriterionResult, path, index_name: str = "n") -> None:
     """Write the terms and partial sums with header ``<index_name>,term,partial_sum``."""
-    rows = zip(map(int, result.indices), map(float, result.terms), map(float, result.partial_sums))
-    write_csv(path, [index_name, "term", "partial_sum"], rows)
+    write_csv(path, [index_name, "term", "partial_sum"], (result.indices, result.terms, result.partial_sums))

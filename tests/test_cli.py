@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,18 @@ class TestChow:
         assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "atom dimensions must be integers in [1, 2**63)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_dimension_past_a_float_runs(self, tmp_path):
+        self._measures(tmp_path)
+        for name in ("m1.json", "m2.json"):
+            wide = json.loads((tmp_path / name).read_text())
+            wide["atoms"][1]["dim"] = 2**53 + 1
+            (tmp_path / name).write_text(json.dumps(wide))
+        cfg = write_config(tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2})
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        lines = (tmp_path / "out" / "criterion.csv").read_text().splitlines()
+        assert lines[0] == "n,term,partial_sum" and len(lines) == 3
+        assert sorted(os.listdir(tmp_path / "out")) == ["criterion.csv", "manifest.json", "verdict.json"]
 
     @pytest.mark.parametrize(
         "field, value",

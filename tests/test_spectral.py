@@ -310,6 +310,26 @@ class TestInputValidation:
             with pytest.raises(ContractError, match=r"atom dimensions must be integers in \[1, 2\*\*63\)"):
                 AtomicSpectralMeasure(("a", "b"), [1.0, 2.0], [1, dim])
 
+    def test_integer_dimensions_past_a_float_read_exactly(self):
+        m = AtomicSpectralMeasure(("a",), [1.0], [2**53 + 1])
+        assert m.dims.dtype == np.int64 and int(m.dims[0]) == 2**53 + 1
+        m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2**62 + 1}]})
+        assert int(m.dims[0]) == 2**62 + 1
+        assert m.to_json()["atoms"][0]["dim"] == 2**62 + 1
+        # the largest int64 is in bounds although it rounds to 2.0**63 as a float
+        m = AtomicSpectralMeasure(("a", "b"), [1.0, 2.0], [2.0, 2**63 - 1])
+        assert m.dims.tolist() == [2, 2**63 - 1]
+        for dim in (2**63, 2**63 + 1, 0, -(2**63)):
+            with pytest.raises(ContractError, match=r"atom dimensions must be integers in \[1, 2\*\*63\)"):
+                AtomicSpectralMeasure(("a", "b"), [1.0, 2.0], [1, dim])
+
+    @pytest.mark.parametrize("dim", [math.nan, math.inf, 2.5])
+    def test_non_integral_dimension_rejected_without_a_warning(self, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=r"atom dimensions must be integers in \[1, 2\*\*63\)"):
+                AtomicSpectralMeasure(("a",), [1.0], [dim])
+
     def test_integral_float_dim_accepted(self):
         m = AtomicSpectralMeasure.from_json({"atoms": [{"label": "a", "mass": 1.0, "dim": 2.0}]})
         assert m.dims.dtype.kind == "i"
