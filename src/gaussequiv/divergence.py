@@ -100,6 +100,13 @@ def _slope(sizes: Sequence[int], values: np.ndarray) -> float:
     return float(np.polyfit(np.asarray(sizes[-k:], dtype=float), values[-k:], 1)[0])
 
 
+def _squared_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared row norms of ``a^{-1} b`` for lower-triangular ``a``; the solve
+    is freed on return, so two of them are never live at once."""
+    m = solve_triangular(a, b, lower=True)
+    return np.einsum("ij,ij->i", m, m)
+
+
 def j_divergence_trace(
     k1: CovarianceKernel, k2: CovarianceKernel, designs: Sequence[Design]
 ) -> DivergenceTrace:
@@ -137,9 +144,7 @@ def j_divergence_trace(
         values = np.array([markov_j_divergence(k1, k2, t[:n]) for n in reversed(sizes)])[::-1]
     else:
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        m12 = solve_triangular(l2, l1, lower=True)
-        m21 = solve_triangular(l1, l2, lower=True)
-        steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
+        steps = 0.5 * (_squared_rows(l2, l1) + _squared_rows(l1, l2)) - 1.0
         values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
     return DivergenceTrace(sizes=sizes, values=values, slope_estimate=_slope(sizes, values))
 

@@ -219,8 +219,23 @@ def _harmonic(d: int, k: int) -> int:
 
 
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
-    """Harmonic dimensions for degrees 0..max_degree, increasing; one past a float raises ContractError."""
+    """Harmonic dimensions for degrees 0..max_degree, increasing; one past a float raises ContractError.
+
+    While int64 holds every partial product, all degrees are formed at once
+    by an exact binomial recurrence; past that, each is an exact Python int.
+    """
     d, last = _sphere_degree(d, max_degree)
+    if math.comb(last + d - 1, d - 1) * (last + d) < 2**63:
+        # c = C(m, d-1) for m = d-3 .. last+d-1 by c = c * (m - (d-1) + i) // i,
+        # i = 1..d-1: after step i, c is C(m - (d-1) + i, i), exact in int64
+        top = np.arange(-2, last + 1, dtype=np.int64)
+        c = np.ones_like(top)
+        for i in range(1, d):
+            top += 1
+            c *= top
+            c //= i
+        # h(k) = C(k+d-1, d-1) - C(k+d-3, d-1)
+        return (c[2:] - c[:-2]).astype(float)
     dims = [_harmonic(d, k) for k in range(last + 1)]
     if dims[-1] > _FLOAT_MAX:
         k = next(k for k, h in enumerate(dims) if h > _FLOAT_MAX)
@@ -340,9 +355,17 @@ class CovarianceKernel(ABC):
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Dense kernel matrix over an (n, d) coordinate array of that geometry.
 
-        The result must be a new array: :func:`gram` takes it over as the
-        read-only ``entries`` of its :class:`GramMatrix` without copying.
+        The result is read-only, and no code writes to its memory later:
+        :func:`gram` takes it over as the ``entries`` of its
+        :class:`GramMatrix` without copying.  It may be a view of a matrix
+        the kernel keeps (see :class:`SchoenbergKernel`).
         """
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, once it is made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _sigma(sigma) -> float:
@@ -366,7 +389,7 @@ class BrownianKernel(CovarianceKernel):
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = _half_line(coords[:, 0])
-        return self.sigma * self.sigma * np.minimum.outer(t, t)
+        return _read_only(self.sigma * self.sigma * np.minimum.outer(t, t))
 
 
 def _half_line(t: np.ndarray) -> np.ndarray:
@@ -393,7 +416,7 @@ class ExponentialKernel(CovarianceKernel):
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         t = coords[:, 0]
         dist = np.abs(t[:, None] - t[None, :])
-        return self.sigma * self.sigma * np.exp(-self.beta * dist)
+        return _read_only(self.sigma * self.sigma * np.exp(-self.beta * dist))
 
 
 @dataclass(frozen=True)
@@ -403,6 +426,9 @@ class SchoenbergKernel(CovarianceKernel):
     ``R(s, t) = sum_k a(k) h(k) G_k(<s, t>)``; the rank of the kernel equals
     ``sum_{a(k)>0} h(k)``, so Gram matrices on more points than that are
     singular by construction.
+
+    The kernel keeps its last assembled matrix alive while it lives and
+    serves a prefix of that design as a read-only view (see :meth:`matrix`).
     """
 
     spectrum: SchoenbergSpectrum
@@ -420,9 +446,24 @@ class SchoenbergKernel(CovarianceKernel):
         lower.  Every entry passes through the same elementwise operations as
         in one sum over the whole dot matrix, so the result is bitwise equal
         to it and exactly symmetric.
+
+        The kernel keeps the last matrix it assembled, with a copy of its
+        coordinates, for as long as the kernel lives.  When ``coords`` are,
+        byte for byte (so -0.0 is not 0.0), the leading rows of those
+        coordinates, the result is the leading block of that matrix as a
+        read-only view, and nothing is computed: an entry depends only on its
+        two points, so the block is bitwise the matrix a fresh assembly would
+        give.  Any other call assembles and replaces the kept pair.
         """
-        spectrum = self.spectrum
+        kept = getattr(self, "_kept", None)
         n = coords.shape[0]
+        if kept is not None:
+            head, whole = kept
+            # for rows of one dtype and length, equal bytes also mean n <= len(head)
+            rows_alike = coords.dtype == head.dtype and coords.shape[1:] == head.shape[1:]
+            if rows_alike and coords.tobytes() == head[:n].tobytes():
+                return whole[:n, :n]
+        spectrum = self.spectrum
         out = np.empty((n, n))
         i0 = 0
         while i0 < n:
@@ -435,6 +476,9 @@ class SchoenbergKernel(CovarianceKernel):
             out[i0:i1, i0:] = block
             out[i0:, i0:i1] = block.T
             i0 = i1
+        _read_only(out)
+        # one attribute, so a reader never pairs one call's coordinates with another's matrix
+        object.__setattr__(self, "_kept", (np.array(coords), out))
         return out
 
 
@@ -513,8 +557,10 @@ def _require_symmetric(a: np.ndarray, what: str) -> None:
 def gram(kernel: CovarianceKernel, design: Design) -> GramMatrix:
     """Assemble and factor the kernel matrix of ``kernel`` over ``design``.
 
-    The new array from ``kernel.matrix`` becomes ``entries`` uncopied.  Fails
-    hard (``SingularGramError``) when it is not numerically positive definite.
+    The read-only array from ``kernel.matrix`` becomes ``entries`` uncopied;
+    for a :class:`SchoenbergKernel` and a prefix of its last design it is a
+    view of the matrix the kernel keeps.  Fails hard (``SingularGramError``)
+    when it is not numerically positive definite.
     """
     require_geometry(kernel, design)
     return GramMatrix(np.asarray(kernel.matrix(design.coords), dtype=float))

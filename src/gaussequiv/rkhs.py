@@ -55,10 +55,16 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
     Frobenius norm of ``L^{-1} D L^{-T}``.  Restriction norms are
     non-decreasing under design nesting, so nested evaluations bracket the
     full-domain norm from below.
+
+    A float64 ``(n, n)`` ndarray ``diff`` is read in place, uncopied, and
+    never written, so it may be read-only; any other input is read as an
+    array of JSON numbers.
     """
-    d = _array(diff, "diff", (g1.n, g1.n))
+    shape = (g1.n, g1.n)
+    in_place = type(diff) is np.ndarray and diff.dtype == float and diff.shape == shape
+    d = diff if in_place else _array(diff, "diff", shape)
     _require_symmetric(d, "difference matrix")
-    # no name keeps the first solve, so with the copy of diff at most four
-    # n x n arrays are live at once
+    # no name keeps the first solve, so besides diff and the factor at most
+    # two n x n arrays are live at once
     w = g1.half_solve(g1.half_solve(d).T)
     return float(np.sum(w * w))

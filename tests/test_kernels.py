@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import hashlib
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +384,76 @@ class TestSchoenbergMatrix:
         m = SchoenbergKernel(spectrum).matrix(coords)
         assert (m == m.T).all()
         assert m.tobytes() == expected.tobytes()
+
+
+class TestKeptSchoenbergMatrix:
+    SPECTRUM = SchoenbergSpectrum(3, 1.0 / (np.arange(9.0) + 1.0) ** 2)
+
+    def test_prefix_is_a_read_only_view(self):
+        k, coords = SchoenbergKernel(self.SPECTRUM), sphere_sequence(40, 3)
+        whole = k.matrix(coords)
+        head = k.matrix(coords[:25])
+        assert not whole.flags.writeable and not head.flags.writeable
+        assert head.base is whole
+        assert head.tobytes() == SchoenbergKernel(self.SPECTRUM).matrix(coords[:25]).tobytes()
+
+    def test_caller_writes_after_assembly(self):
+        # the kernel keeps a copy of the coordinates, so a caller who writes to
+        # their array afterwards gets the matrix of the new points
+        k, coords = SchoenbergKernel(self.SPECTRUM), sphere_sequence(40, 3).copy()
+        k.matrix(coords)
+        coords[3] = coords[3, ::-1]
+        moved = k.matrix(coords[:25])
+        assert moved.base is None
+        assert moved.tobytes() == SchoenbergKernel(self.SPECTRUM).matrix(coords[:25]).tobytes()
+
+    @pytest.mark.parametrize(
+        "nudge",
+        [lambda c: np.nextafter(c, 2.0), lambda c: np.where(c == 0.0, -0.0, c)],
+        ids=["one-ulp", "negative-zero"],
+    )
+    def test_other_bytes_are_assembled_fresh(self, nudge):
+        k = SchoenbergKernel(self.SPECTRUM)
+        coords = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]])
+        whole = k.matrix(coords)
+        changed = coords.copy()
+        changed[1] = nudge(changed[1])
+        assert changed.tobytes() != coords.tobytes()
+        fresh = k.matrix(changed[:3])
+        assert fresh.base is None and not np.shares_memory(fresh, whole)
+        assert fresh.tobytes() == SchoenbergKernel(self.SPECTRUM).matrix(changed[:3]).tobytes()
+        # the fresh assembly is kept now; the first design is assembled again
+        assert k.matrix(coords[:2]).base is None
+
+    def test_identity_unchanged_by_the_kept_matrix(self):
+        k, twin = SchoenbergKernel(self.SPECTRUM), SchoenbergKernel(self.SPECTRUM)
+        before = (repr(k), hash(k))
+        k.matrix(sphere_sequence(30, 3))
+        assert (repr(k), hash(k)) == before == (repr(twin), hash(twin))
+        assert k == twin and {k, twin} == {k}
+        assert [f.name for f in dataclasses.fields(k)] == ["spectrum"]
+        described = kernel_from_json({"variant": "schoenberg", "d": 3, "coeffs": self.SPECTRUM.coeffs.tolist()})
+        described.matrix(sphere_sequence(30, 3))
+        assert repr(described) == repr(k)
+
+    def test_kept_matrix_dies_when_replaced(self):
+        k, coords = SchoenbergKernel(self.SPECTRUM), sphere_sequence(40, 3)
+        kept = weakref.ref(k.matrix(coords))
+        gc.collect()
+        assert kept() is not None
+        k.matrix(coords[::-1].copy())
+        gc.collect()
+        assert kept() is None
+
+    def test_eval_kernel_after_a_large_assembly(self):
+        k, coords = SchoenbergKernel(self.SPECTRUM), sphere_sequence(300, 3)
+        m = k.matrix(coords)
+        for i, j in [(0, 1), (0, 0), (7, 299), (150, 3), (1, 0)]:
+            assert eval_kernel(k, coords[i], coords[j]) == m[i, j]
+
+    @pytest.mark.parametrize("kernel", [BrownianKernel(1.5), ExponentialKernel(1.0, 2.0)])
+    def test_markov_matrices_read_only(self, kernel):
+        assert not kernel.matrix(np.array([[0.2], [0.5]])).flags.writeable
 
 
 class TestSchoenbergSpectrum:

@@ -110,6 +110,20 @@ def test_schoenberg_matrix_is_gegenbauer_sum(d, data):
 
 
 @SETTINGS
+@given(st.sampled_from([3, 4]), st.data())
+def test_schoenberg_prefix_served_equals_fresh_assembly(d, data):
+    coords = data.draw(sphere_coords(d=d, max_size=14).filter(len))
+    coeffs = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20)))
+    spectrum = SchoenbergSpectrum(d, coeffs)
+    kernel = SchoenbergKernel(spectrum)
+    whole = kernel.matrix(coords)
+    m = data.draw(st.integers(1, len(coords)))
+    served = kernel.matrix(coords[:m])
+    assert served.base is whole and not served.flags.writeable
+    assert served.tobytes() == SchoenbergKernel(spectrum).matrix(coords[:m]).tobytes()
+
+
+@SETTINGS
 @given(st.one_of(interval_coords().map(Design.interval), sphere_coords().filter(len).map(Design.on_sphere)), st.data())
 def test_design_json_roundtrip_and_prefix(design, data):
     again = Design.from_json(json.loads(json.dumps(design.to_json())))

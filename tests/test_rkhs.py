@@ -140,6 +140,16 @@ class TestTensorNormFinite:
         assert direct == pytest.approx(27.0, rel=1e-10)
         assert tensor_norm_finite(g, 3 * a) == pytest.approx(27.0, rel=1e-10)
 
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_ndarray_read_in_place_gives_the_list_value(self, rng, read_only):
+        g = gram_from_matrix(make_spd(rng, 5))
+        diff = make_spd(rng, 5) - make_spd(rng, 5)
+        diff.flags.writeable = not read_only
+        before = diff.tobytes()
+        value = tensor_norm_finite(g, diff)
+        assert type(value) is float and value == tensor_norm_finite(g, diff.tolist())
+        assert diff.tobytes() == before and diff.flags.writeable is not read_only
+
     def test_asymmetric_rejected(self, rng):
         g = gram_from_matrix(make_spd(rng, 3))
         d = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
