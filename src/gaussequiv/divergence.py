@@ -31,7 +31,18 @@ from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
 from .designs import is_prefix_nested
 from .errors import ContractError
-from .kernels import CovarianceKernel, Design, GramMatrix, _array, _counts, _number, gram, require_geometry
+from .kernels import (
+    CovarianceKernel,
+    Design,
+    GramMatrix,
+    SchoenbergKernel,
+    _array,
+    _counts,
+    _number,
+    _schoenberg_matrices,
+    gram,
+    require_geometry,
+)
 
 __all__ = [
     "DivergenceTrace",
@@ -67,9 +78,14 @@ def j_divergence(g1: GramMatrix, g2: GramMatrix) -> float:
     """
     if g1.n != g2.n:
         raise ContractError("Gram matrices must have equal size")
-    m12 = solve_triangular(g2.chol, g1.chol, lower=True)
-    m21 = solve_triangular(g1.chol, g2.chol, lower=True)
-    return 0.5 * (float(np.sum(m12 * m12)) + float(np.sum(m21 * m21))) - g1.n
+    return 0.5 * (_squared_norm(g2.chol, g1.chol) + _squared_norm(g1.chol, g2.chol)) - g1.n
+
+
+def _squared_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a^{-1} b||_F^2`` for lower-triangular ``a``; the solve is freed on
+    return, so two of them are never live at once."""
+    m = solve_triangular(a, b, lower=True)
+    return float(np.sum(m * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +137,12 @@ def j_divergence_trace(
     :class:`SingularGramError` with that point's design-order index.
 
     Every other pair factors each kernel's Gram matrix once, on the largest
-    design: the Cholesky factor of a prefix is the leading block of that
+    design.  When both kernels are :class:`SchoenbergKernel`, the geometry
+    of ``k1`` and then of ``k2`` is checked, and the two matrices are
+    assembled together, with one Gegenbauer recurrence per block (see
+    ``kernels._schoenberg_matrices``); each kernel keeps its matrix, so the
+    Gram matrices here and later calls on any prefix design are served as
+    views.  The Cholesky factor of a prefix is the leading block of that
     factor, and so are the prefix blocks of the lower-triangular
     ``M12 = L2^{-1} L1`` and ``M21 = L1^{-1} L2``.  J(n) is therefore the
     cumulative sum over rows i < n of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.
@@ -143,6 +164,11 @@ def j_divergence_trace(
         # the dense path
         values = np.array([markov_j_divergence(k1, k2, t[:n]) for n in reversed(sizes)])[::-1]
     else:
+        if isinstance(k1, SchoenbergKernel) and isinstance(k2, SchoenbergKernel):
+            require_geometry(k1, designs[-1])
+            require_geometry(k2, designs[-1])
+            # one recurrence for both matrices; the two grams below are served views
+            _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
         steps = 0.5 * (_squared_rows(l2, l1) + _squared_rows(l1, l2)) - 1.0
         values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)

@@ -48,8 +48,10 @@ __all__ = [
 SPHERE_NORM_TOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-# entries per block of SchoenbergKernel.matrix: six working arrays of 128 KiB
-# each, which stay in a 1-2 MiB per-core L2 cache
+# entries per block of _schoenberg_matrices: five working arrays of 128 KiB
+# each, the dots, three recurrence buffers and one product, plus one
+# accumulator per kernel assembled; for one or two kernels they stay in a
+# 1-2 MiB per-core L2 cache
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -275,7 +277,9 @@ def _gegenbauer_terms(d: int, x: np.ndarray) -> Iterator[np.ndarray]:
 
     The recurrence steps in place in three buffers of the shape of ``x``, so
     each yielded array is overwritten two steps later: a caller must use or
-    copy it before advancing the iterator twice.  Step k computes
+    copy it before advancing the iterator twice.  :func:`_schoenberg_matrices`
+    reads each term into every kernel's sum before it advances, so one
+    recurrence serves all the kernels of a group.  Step k computes
     ``((2 (k+lambda-1)) x) G_{k-1} - (k-1) G_{k-2}``, then divides by
     ``k + 2 lambda - 1``, the same operations in the same order for every
     entry.
@@ -292,17 +296,6 @@ def _gegenbauer_terms(d: int, x: np.ndarray) -> Iterator[np.ndarray]:
         g_next -= g_prev
         g_next /= k + 2 * lam - 1
         g_prev, g, g_next = g, g_next, g_prev
-
-
-def _zonal_sum(d: int, coeffs: np.ndarray, hdims: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k coeffs[k] * h(k) * G_k(x), accumulated left to right in one new array."""
-    weights = coeffs * hdims
-    terms = _gegenbauer_terms(d, x)
-    acc = weights[0] * next(terms)
-    term = np.empty_like(acc)
-    for w, g in zip(weights[1:], terms):
-        acc += np.multiply(w, g, out=term)
-    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,14 +431,12 @@ class SchoenbergKernel(CovarianceKernel):
         return Geometry("sphere", self.spectrum.sphere_dim)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Kernel matrix assembled in upper-triangle row blocks and mirrored.
+        """Kernel matrix, the one-kernel case of :func:`_schoenberg_matrices`.
 
-        Rows ``[i0, i1)`` against columns ``[i0, n)`` form one block of about
-        ``_BLOCK_ENTRIES`` entries, so the recurrence buffers stay in cache;
-        each block is written to the upper triangle and its transpose to the
-        lower.  Every entry passes through the same elementwise operations as
-        in one sum over the whole dot matrix, so the result is bitwise equal
-        to it and exactly symmetric.
+        The matrix is assembled in cache-sized upper-triangle row blocks and
+        mirrored.  Every entry passes through the same elementwise operations
+        as in one sum over the whole dot matrix, so the result is bitwise
+        equal to it and exactly symmetric.
 
         The kernel keeps the last matrix it assembled, with a copy of its
         coordinates, for as long as the kernel lives.  When ``coords`` are,
@@ -453,18 +444,50 @@ class SchoenbergKernel(CovarianceKernel):
         coordinates, the result is the leading block of that matrix as a
         read-only view, and nothing is computed: an entry depends only on its
         two points, so the block is bitwise the matrix a fresh assembly would
-        give.  Any other call assembles and replaces the kept pair.
+        give.  Any other call assembles and replaces the kept pair.  The kept
+        pair may also come from an assembly of several kernels at once, as
+        the dense J trace makes for its two kernels.
         """
+        return _schoenberg_matrices((self,), coords)[0]
+
+    def _served(self, coords: np.ndarray) -> np.ndarray | None:
+        """The leading block of the kept matrix, if ``coords`` are the leading rows of the kept coordinates."""
         kept = getattr(self, "_kept", None)
+        if kept is None:
+            return None
+        head, whole = kept
         n = coords.shape[0]
-        if kept is not None:
-            head, whole = kept
-            # for rows of one dtype and length, equal bytes also mean n <= len(head)
-            rows_alike = coords.dtype == head.dtype and coords.shape[1:] == head.shape[1:]
-            if rows_alike and coords.tobytes() == head[:n].tobytes():
-                return whole[:n, :n]
-        spectrum = self.spectrum
-        out = np.empty((n, n))
+        # for rows of one dtype and length, equal bytes also mean n <= len(head)
+        rows_alike = coords.dtype == head.dtype and coords.shape[1:] == head.shape[1:]
+        if rows_alike and coords.tobytes() == head[:n].tobytes():
+            return whole[:n, :n]
+        return None
+
+
+def _schoenberg_matrices(kernels: Sequence[SchoenbergKernel], coords: np.ndarray) -> list[np.ndarray]:
+    """The matrices of ``kernels`` on ``coords``, those not served by a kept matrix assembled in one pass.
+
+    The kernels must share one sphere dimension.  A kernel whose kept matrix
+    serves ``coords`` (see :meth:`SchoenbergKernel.matrix`) is skipped, and
+    a kernel passed twice is assembled once.  The others are assembled
+    together: rows ``[i0, i1)`` against columns ``[i0, n)`` form one block
+    of about ``_BLOCK_ENTRIES`` entries, whose dot products and Gegenbauer
+    recurrence are computed once and read by every kernel.  Each kernel has
+    its own accumulator, to which it adds ``a(k) h(k) G_k`` left to right,
+    stopping at its own truncation, so each matrix is bitwise the one the
+    kernel would assemble alone.  Each block is written to the upper
+    triangle and its transpose to the lower; each result becomes its
+    kernel's kept pair and is returned itself, not as a view.
+    """
+    # by identity: kernels holding one spectrum object are equal, yet each keeps its own matrix
+    matrices = {id(kernel): kernel._served(coords) for kernel in kernels}
+    todo = list({id(kernel): kernel for kernel in kernels if matrices[id(kernel)] is None}.values())
+    if todo:
+        (d,) = {kernel.spectrum.sphere_dim for kernel in todo}
+        weights = [kernel.spectrum.coeffs * kernel.spectrum.harmonic_dims for kernel in todo]
+        last = max(map(len, weights))
+        n = coords.shape[0]
+        outs = [np.empty((n, n)) for _ in todo]
         i0 = 0
         while i0 < n:
             i1 = min(n, i0 + max(1, _BLOCK_ENTRIES // (n - i0)))
@@ -472,14 +495,24 @@ class SchoenbergKernel(CovarianceKernel):
             # dots of (i, j) and (j, i) are equal regardless of BLAS threading
             dots = (coords[i0:i1, None, :] * coords[None, i0:, :]).sum(axis=-1)
             np.clip(dots, -1.0, 1.0, out=dots)
-            block = _zonal_sum(spectrum.sphere_dim, spectrum.coeffs, spectrum.harmonic_dims, dots)
-            out[i0:i1, i0:] = block
-            out[i0:, i0:i1] = block.T
+            terms = _gegenbauer_terms(d, dots)
+            g = next(terms)
+            blocks = [w[0] * g for w in weights]
+            term = np.empty_like(dots)
+            for k, g in zip(range(1, last), terms):
+                for w, block in zip(weights, blocks):
+                    if k < len(w):
+                        block += np.multiply(w[k], g, out=term)
+            for out, block in zip(outs, blocks):
+                out[i0:i1, i0:] = block
+                out[i0:, i0:i1] = block.T
             i0 = i1
-        _read_only(out)
-        # one attribute, so a reader never pairs one call's coordinates with another's matrix
-        object.__setattr__(self, "_kept", (np.array(coords), out))
-        return out
+        head = np.array(coords)
+        for kernel, out in zip(todo, outs):
+            matrices[id(kernel)] = _read_only(out)
+            # one attribute, so a reader never pairs one call's coordinates with another's matrix
+            object.__setattr__(kernel, "_kept", (head, out))
+    return [matrices[id(kernel)] for kernel in kernels]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gaussequiv import (
     BrownianKernel,
@@ -16,6 +18,7 @@ from gaussequiv import (
     SingularGramError,
     VerdictLabel,
     dichotomy_diagnostic,
+    equispaced_interval_design,
     gaussian_logpdf,
     gram,
     gram_from_matrix,
@@ -111,6 +114,32 @@ class TestJDivergence:
         g2 = gram_from_matrix(make_spd(rng, 4))
         with pytest.raises(ContractError):
             j_divergence(g1, g2)
+
+    def test_value_is_the_two_solve_formula(self, rng):
+        small, large = dyadic_interval_designs(64)[-1], dyadic_interval_designs(256)[-1]
+        pairs = [
+            (gram_from_matrix(make_spd(rng, 9)), gram_from_matrix(make_spd(rng, 9))),
+            (gram(BrownianKernel(1.0), small), gram(BrownianKernel(2.0), small)),
+            (gram(ExponentialKernel(1.0, 2.0), large), gram(ExponentialKernel(1.5, 1.0), large)),
+        ]
+        for g1, g2 in pairs:
+            m12 = solve_triangular(g2.chol, g1.chol, lower=True)
+            m21 = solve_triangular(g1.chol, g2.chol, lower=True)
+            assert j_divergence(g1, g2) == 0.5 * (float(np.sum(m12 * m12)) + float(np.sum(m21 * m21))) - g1.n
+
+    def test_one_solve_live_at_a_time(self):
+        # each solve and its square are freed before the other solve is formed:
+        # two n x n arrays above the inputs, where both solves at once make three
+        n = 512
+        design = equispaced_interval_design(n, (0.0, 1.0))
+        g1, g2 = gram(ExponentialKernel(1.0, 1.0), design), gram(ExponentialKernel(1.0, 2.0), design)
+        tracemalloc.start()
+        try:
+            j_divergence(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
 
 
 class TestJDivergenceTrace:
@@ -249,6 +278,13 @@ class TestJDivergenceTrace:
         trace = j_divergence_trace(k1, k2, designs)
         expected = [j_divergence(gram(k1, d), gram(k2, d)) for d in designs]
         np.testing.assert_allclose(trace.values, expected, rtol=1e-9)
+
+    def test_sphere_dimension_mismatch_raised_by_the_second_kernel(self):
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, np.ones(4)))
+        k2 = SchoenbergKernel(SchoenbergSpectrum(4, np.ones(4)))
+        message = "SchoenbergKernel acts on Geometry(kind='sphere', dim=4), not Geometry(kind='sphere', dim=3)"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            j_divergence_trace(k1, k2, fibonacci_sphere_designs([4, 8]))
 
     def test_singular_reports_first_failing_pivot(self):
         # rank-4 spherical kernels (degrees 0 and 1 on S^2) meet a 5-point design

@@ -22,12 +22,14 @@ from gaussequiv import (
     SchoenbergSpectrum,
     SingularGramError,
     eval_kernel,
+    fibonacci_sphere_designs,
     gegenbauer_normalized,
     gram,
     gram_from_matrix,
     harmonic_dimension,
     harmonic_dimensions,
     is_prefix_nested,
+    j_divergence_trace,
     kernel_from_json,
     rkhs_norm,
 )
@@ -454,6 +456,83 @@ class TestKeptSchoenbergMatrix:
     @pytest.mark.parametrize("kernel", [BrownianKernel(1.5), ExponentialKernel(1.0, 2.0)])
     def test_markov_matrices_read_only(self, kernel):
         assert not kernel.matrix(np.array([[0.2], [0.5]])).flags.writeable
+
+
+class TestSchoenbergMatricesTogether:
+    """Several kernels assembled in one pass by ``kernels._schoenberg_matrices``."""
+
+    SPECTRA = (
+        SchoenbergSpectrum(3, 1.0 / (np.arange(9.0) + 1.0) ** 2),
+        SchoenbergSpectrum(3, 1.0 / (np.arange(8.0) + 1.0) ** 3),
+    )
+
+    @pytest.fixture
+    def recurrences(self, monkeypatch):
+        """Small blocks, and the list of the blocks each Gegenbauer recurrence ran on."""
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 64)
+        calls, real = [], kernels._gegenbauer_terms
+
+        def counting(d, x):
+            calls.append(x.shape)
+            return real(d, x)
+
+        monkeypatch.setattr(kernels, "_gegenbauer_terms", counting)
+        return calls
+
+    @staticmethod
+    def alone(spectrum, coords):
+        return SchoenbergKernel(spectrum).matrix(coords).tobytes()
+
+    def test_kernel_passed_twice_is_assembled_once(self, recurrences):
+        coords = sphere_sequence(40, 3)
+        expected = self.alone(self.SPECTRA[0], coords)
+        blocks = len(recurrences)
+        k = SchoenbergKernel(self.SPECTRA[0])
+        first, second = kernels._schoenberg_matrices((k, k), coords)
+        assert first is second and first.base is None and not first.flags.writeable
+        assert first.tobytes() == expected
+        assert len(recurrences) == 2 * blocks > 2
+
+    def test_equal_kernels_keep_their_own_matrices(self, recurrences):
+        # kernels holding one spectrum object are equal and hash alike
+        coords = sphere_sequence(40, 3)
+        expected = self.alone(self.SPECTRA[0], coords)
+        blocks = len(recurrences)
+        k1, k2 = SchoenbergKernel(self.SPECTRA[0]), SchoenbergKernel(self.SPECTRA[0])
+        assert k1 == k2 and k1 is not k2
+        m1, m2 = kernels._schoenberg_matrices((k1, k2), coords)
+        assert m1 is not m2 and m1.tobytes() == m2.tobytes() == expected
+        assert k1.matrix(coords[:30]).base is m1 and k2.matrix(coords[:30]).base is m2
+        assert len(recurrences) == 2 * blocks
+
+    def test_kept_larger_design_is_served_not_assembled(self, recurrences):
+        coords = sphere_sequence(40, 3)
+        k1, k2 = SchoenbergKernel(self.SPECTRA[0]), SchoenbergKernel(self.SPECTRA[1])
+        whole = k1.matrix(coords)
+        expected = self.alone(self.SPECTRA[1], coords[:25])
+        recurrences.clear()
+        served, fresh = kernels._schoenberg_matrices((k1, k2), coords[:25])
+        blocks = len(recurrences)
+        assert served.base is whole and k1.matrix(coords).base is whole
+        assert fresh.base is None and fresh.tobytes() == expected
+        # only k2 was assembled: a lone assembly of that design runs as many recurrences
+        recurrences.clear()
+        SchoenbergKernel(self.SPECTRA[1]).matrix(coords[:25])
+        assert len(recurrences) == blocks
+
+    def test_trace_runs_one_recurrence_per_block_for_the_pair(self, recurrences):
+        designs = fibonacci_sphere_designs([10, 20, 40])
+        k1, k2 = SchoenbergKernel(self.SPECTRA[0]), SchoenbergKernel(self.SPECTRA[1])
+        SchoenbergKernel(self.SPECTRA[0]).matrix(designs[-1].coords)
+        blocks = len(recurrences)
+        recurrences.clear()
+        j_divergence_trace(k1, k2, designs)
+        assert len(recurrences) == blocks > 1
+        # both kernels now serve every prefix design from the kept matrix
+        kept = [k.matrix(designs[-1].coords).base for k in (k1, k2)]
+        assert all(k.matrix(d.coords).base is m for k, m in zip((k1, k2), kept) for d in designs)
+        assert len(recurrences) == blocks
+        assert [m.tobytes() for m in kept] == [self.alone(s, designs[-1].coords) for s in self.SPECTRA]
 
 
 class TestSchoenbergSpectrum:

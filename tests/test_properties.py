@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gaussequiv import (
     sphere_equivalence_sum,
     tensor_norm_finite,
 )
+import gaussequiv.kernels as kernels
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -121,6 +123,20 @@ def test_schoenberg_prefix_served_equals_fresh_assembly(d, data):
     served = kernel.matrix(coords[:m])
     assert served.base is whole and not served.flags.writeable
     assert served.tobytes() == SchoenbergKernel(spectrum).matrix(coords[:m]).tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4, 7]), st.data())
+def test_schoenberg_pair_assembly_equals_lone_assembly(d, data):
+    coords = data.draw(sphere_coords(d=d).filter(len))
+    coeffs = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40)
+    first = data.draw(coeffs)
+    spectra = [SchoenbergSpectrum(d, c) for c in (first, data.draw(coeffs.filter(lambda c: c != first)))]
+    # small blocks, so that the truncations stop in blocks of several shapes
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", data.draw(st.integers(1, 100))):
+        pair = kernels._schoenberg_matrices([SchoenbergKernel(s) for s in spectra], coords)
+    for spectrum, m in zip(spectra, pair):
+        assert m.tobytes() == SchoenbergKernel(spectrum).matrix(coords).tobytes()
 
 
 @SETTINGS
