@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
@@ -38,6 +37,7 @@ from .kernels import (
     SchoenbergKernel,
     _array,
     _counts,
+    _lower_solve,
     _number,
     _schoenberg_matrices,
     gram,
@@ -84,7 +84,7 @@ def j_divergence(g1: GramMatrix, g2: GramMatrix) -> float:
 def _squared_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``||a^{-1} b||_F^2`` for lower-triangular ``a``; the solve is freed on
     return, so two of them are never live at once."""
-    m = solve_triangular(a, b, lower=True)
+    m = _lower_solve(a, b)
     return float(np.sum(m * m))
 
 
@@ -119,7 +119,7 @@ def _slope(sizes: Sequence[int], values: np.ndarray) -> float:
 def _squared_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared row norms of ``a^{-1} b`` for lower-triangular ``a``; the solve
     is freed on return, so two of them are never live at once."""
-    m = solve_triangular(a, b, lower=True)
+    m = _lower_solve(a, b)
     return np.einsum("ij,ij->i", m, m)
 
 

@@ -22,7 +22,7 @@ from numbers import Real
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import ContractError, SingularGramError
@@ -526,6 +526,7 @@ class GramMatrix:
 
     ``GramMatrix(x)`` checks and factors the square float ndarray ``x`` as
     :func:`gram_from_matrix` does, but takes ``x`` over read-only, uncopied.
+    ``chol`` is LAPACK ``dpotrf`` of the upper triangle of ``x``; solves are BLAS ``dtrsm`` on it.
     """
 
     entries: np.ndarray
@@ -537,7 +538,8 @@ class GramMatrix:
         if not (isinstance(a, np.ndarray) and a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1]):
             raise ContractError("Gram entries must form a square float matrix")
         _require_symmetric(a, "Gram entries")
-        c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
+        # a.T of a C-order a is a Fortran-order view, which f2py copies without transposing
+        c, info = dpotrf(a.T, lower=1, clean=1, overwrite_a=0)
         if info != 0:
             raise SingularGramError(pivot=int(info) - 1)
         a.flags.writeable = c.flags.writeable = False
@@ -549,8 +551,16 @@ class GramMatrix:
         return self.entries.shape[0]
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``L x = b`` against the cached lower factor."""
-        return solve_triangular(self.chol, b, lower=True)
+        """Solve ``L x = b`` against the cached lower factor; a non-finite ``b`` raises :class:`ContractError`."""
+        if not np.isfinite(b).all():
+            raise ContractError("right-hand side must be finite")
+        return _lower_solve(self.chol, b)
+
+
+def _lower_solve(a: np.ndarray, b: np.ndarray, **flags) -> np.ndarray:
+    """``a^{-1} b`` by BLAS ``dtrsm`` for lower-triangular ``a``, unchecked; ``flags`` go to
+    ``dtrsm`` (``side``, ``trans_a``, ``overwrite_b``, which writes even a read-only ``b``)."""
+    return dtrsm(1.0, a, b, lower=1, **flags)
 
 
 def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
@@ -575,8 +585,8 @@ def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
 
 def _require_symmetric(a: np.ndarray, what: str) -> None:
     """Raise ContractError unless ``a`` is finite and symmetric to ``SYMMETRY_RTOL * max(1, max|a|)``."""
-    # np.max propagates NaN, and a comparison with NaN is False
-    largest = float(np.max(np.abs(a)))
+    # max|a| with no n x n temporary; np.max, np.min and then max() all propagate NaN
+    largest = float(max(np.max(a), -np.min(a)))
     if not math.isfinite(largest):
         raise ContractError(f"{what} must be finite")
     # max |a - a.T| over pairs of 128-square tiles, which stay in cache where

@@ -1,8 +1,8 @@
 """Finite-design reproducing-kernel Hilbert space computations.
 
 On a finite design the RKHS of a strictly positive-definite kernel is R^n
-with inner product ``<v, w> = v' R(n)^{-1} w``.  Everything here goes through
-the cached triangular factor of the Gram matrix; no inverse is ever formed.
+with inner product ``<v, w> = v' R(n)^{-1} w``.  Everything here is BLAS
+``dtrsm`` solves on the cached Cholesky factor; no inverse is ever formed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .kernels import GramMatrix, _array, _integer, _require_symmetric
+from .kernels import GramMatrix, _array, _integer, _lower_solve, _require_symmetric
 
 __all__ = [
     "rkhs_inner",
@@ -51,20 +51,20 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
 
     For a symmetric matrix D holding the restriction of a kernel difference,
     the squared norm in the tensor product of the finite-design RKHS with
-    itself is ``trace(R^{-1} D R^{-1} D')``, computed here as the squared
-    Frobenius norm of ``L^{-1} D L^{-T}``.  Restriction norms are
-    non-decreasing under design nesting, so nested evaluations bracket the
-    full-domain norm from below.
+    itself is ``trace(R^{-1} D R^{-1} D')``, the squared Frobenius norm of
+    ``L^{-1} D' L^{-T}`` (two ``dtrsm`` solves, the second in place).
+    Restriction norms are non-decreasing under design nesting, so nested
+    evaluations bracket the full-domain norm from below.
 
-    A float64 ``(n, n)`` ndarray ``diff`` is read in place, uncopied, and
-    never written, so it may be read-only; any other input is read as an
-    array of JSON numbers.
+    A float64 ``(n, n)`` ndarray ``diff`` is copied once by the first solve
+    and never written, so it may be read-only and of any layout; any other
+    input is read as an array of JSON numbers.
     """
     shape = (g1.n, g1.n)
     in_place = type(diff) is np.ndarray and diff.dtype == float and diff.shape == shape
     d = diff if in_place else _array(diff, "diff", shape)
     _require_symmetric(d, "difference matrix")
-    # no name keeps the first solve, so besides diff and the factor at most
-    # two n x n arrays are live at once
-    w = g1.half_solve(g1.half_solve(d).T)
-    return float(np.sum(w * w))
+    # L^{-1} D' L^{-T}, the transpose of L^{-1} D L^{-T}: D' of a C-order D is
+    # copied without transposing, and the second solve overwrites the first
+    w = _lower_solve(g1.chol, _lower_solve(g1.chol, d.T), side=1, trans_a=1, overwrite_b=1)
+    return float(np.einsum("ij,ij->", w, w))

@@ -61,6 +61,11 @@ class TestGaussianLogpdf:
         with pytest.raises(ContractError):
             gaussian_logpdf(g, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(ContractError, match="right-hand side must be finite"):
+            gaussian_logpdf(gram_from_matrix(np.eye(2)), [1.0, bad])
+
 
 class TestJDivergence:
     def test_identical_is_zero(self, rng):
@@ -177,6 +182,20 @@ class TestJDivergenceTrace:
         d2 = Design.interval([0.25, 0.75, 1.0])
         with pytest.raises(ContractError):
             j_divergence_trace(k, k, [d1, d2])
+
+    def test_dense_trace_is_the_two_solve_cumsum(self):
+        # the dtrsm solves are bitwise SciPy's LAPACK trtrs ones
+        k = np.arange(61.0)
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3 * (1.0 + 0.7 / (k + 1.0))))
+        k2 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3))
+        designs = fibonacci_sphere_designs([64, 128, 256, 512])
+        trace = j_divergence_trace(k1, k2, designs)
+        l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
+        m12 = solve_triangular(l2, l1, lower=True)
+        m21 = solve_triangular(l1, l2, lower=True)
+        steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
+        expected = np.maximum(np.cumsum(steps)[np.array(trace.sizes) - 1], 0.0)
+        assert trace.values.tobytes() == expected.tobytes()
 
     def test_one_factorization_per_kernel(self, monkeypatch):
         calls = []

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 from scipy.special import eval_gegenbauer
 
 import gaussequiv
@@ -165,6 +166,37 @@ class TestGram:
         assert rkhs_norm(g, [1.0, 1.0]) == math.sqrt(2)
         with pytest.raises(SingularGramError):
             GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("kind", ["exponential", "brownian", "schoenberg", "schoenberg_prefix"])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1024])
+    def test_factor_is_dpotrf_of_the_matrix(self, kind, n):
+        # the factor of a.T's Fortran view is bitwise that of a; the prefix
+        # kind factors a strided view of a matrix the kernel keeps
+        spectrum = SchoenbergSpectrum(3, (np.arange(61.0) + 1.0) ** -3)
+        if kind in ("exponential", "brownian"):
+            kernel = ExponentialKernel(1.3, 2.0) if kind == "exponential" else BrownianKernel(1.3)
+            design = Design.interval(np.arange(1, n + 1) / n)
+        else:
+            kernel = SchoenbergKernel(spectrum)
+            design, whole = fibonacci_sphere_designs([n, 1030])
+            kept = kernel.matrix(whole.coords) if kind == "schoenberg_prefix" else None
+        x = kernel.matrix(design.coords)
+        assert not x.flags.writeable
+        if kind == "schoenberg_prefix":
+            assert x.base is kept and (n == 1 or not x.flags.c_contiguous)
+        before = x.tobytes()
+        g = gram(kernel, design)
+        assert x.tobytes() == before and g.entries.tobytes() == before
+        assert g.chol.tobytes() == dpotrf(np.array(x), lower=1, clean=1)[0].tobytes()
+
+    def test_one_ulp_asymmetry_factors_the_upper_triangle(self):
+        a = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
+        a[0, 1] = np.nextafter(2.0, np.inf)
+        upper, lower = np.triu(a) + np.triu(a, 1).T, np.tril(a) + np.tril(a, -1).T
+        g = gram_from_matrix(a)
+        assert g.chol.tobytes() == dpotrf(upper, lower=1, clean=1)[0].tobytes()
+        assert g.chol.tobytes() != dpotrf(lower, lower=1, clean=1)[0].tobytes()
+        np.testing.assert_array_equal(g.entries, a)
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
     def test_tiled_symmetry_check_reads_the_plain_formula(self, rng, monkeypatch, n):

@@ -122,6 +122,22 @@ class TestReproducingCheck:
             reproducing_check(gram_from_matrix(np.eye(2)), [1.0, 2.0], i)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, v: rkhs_inner(g, [1.0, 2.0], v),
+        lambda g, v: rkhs_norm(g, v),
+        lambda g, v: reproducing_check(g, v, 0),
+    ],
+    ids=["rkhs_inner", "rkhs_norm", "reproducing_check"],
+)
+def test_non_finite_values_rejected(entry, bad):
+    # the factor's solve checks nothing itself; half_solve is the one door
+    with pytest.raises(ContractError, match="right-hand side must be finite"):
+        entry(brownian_gram_2pt(), [bad, 1.0])
+
+
 class TestTensorNormFinite:
     def test_zero_difference(self, rng):
         g = gram_from_matrix(make_spd(rng, 4))
@@ -149,6 +165,20 @@ class TestTensorNormFinite:
         value = tensor_norm_finite(g, diff)
         assert type(value) is float and value == tensor_norm_finite(g, diff.tolist())
         assert diff.tobytes() == before and diff.flags.writeable is not read_only
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read_only", "strided"])
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_every_layout_matches_the_solve_oracle(self, rng, layout, n):
+        r = make_spd(rng, n)
+        big = make_spd(rng, 2 * n) - make_spd(rng, 2 * n)
+        block = big[:n, :n]
+        diff = {"C": block.copy(), "F": np.asfortranarray(block), "read_only": block.copy(), "strided": big[::2, ::2]}[layout]
+        diff.flags.writeable = layout != "read_only"
+        before = diff.tobytes()
+        value = tensor_norm_finite(gram_from_matrix(r), diff)
+        m = np.linalg.solve(r, diff)
+        assert value == pytest.approx(float(np.trace(m @ m)), rel=1e-12)
+        assert diff.tobytes() == before and diff.flags.writeable is (layout != "read_only")
 
     def test_asymmetric_rejected(self, rng):
         g = gram_from_matrix(make_spd(rng, 3))
