@@ -128,27 +128,26 @@ def j_divergence_trace(
 ) -> DivergenceTrace:
     """Evaluate J(n) for both kernels along strictly nested designs.
 
-    Designs must be prefix-extensions of each other.  When both kernels are
-    Markov on the line (:class:`BrownianKernel` or
-    :class:`ExponentialKernel`, mixed pairs included), each J(n) is a sum of
-    nonnegative per-point AR(1) terms on the sorted design, O(n log n) and
-    no Gram matrix; see ``_markov.markov_j_divergence``.  A point at which
-    an innovation variance is not positive raises
-    :class:`SingularGramError` with that point's design-order index.
+    Designs must be prefix-extensions of each other, and the geometry of ``k1``
+    and then of ``k2`` is checked on the largest design, once, before any route
+    is taken.  When both kernels are Markov on the line (:class:`BrownianKernel`
+    or :class:`ExponentialKernel`, mixed pairs included), each J(n) is a sum of
+    nonnegative per-point AR(1) terms on the sorted design, O(n log n) and no
+    Gram matrix; see ``_markov.markov_j_divergence``.  A point at which an
+    innovation variance is not positive raises :class:`SingularGramError` with
+    that point's design-order index.
 
     Every other pair factors each kernel's Gram matrix once, on the largest
-    design.  When both kernels are :class:`SchoenbergKernel`, the geometry
-    of ``k1`` and then of ``k2`` is checked, and the two matrices are
-    assembled together, with one Gegenbauer recurrence per block (see
-    ``kernels._schoenberg_matrices``); each kernel keeps its matrix, so the
-    Gram matrices here and later calls on any prefix design are served as
-    views.  The Cholesky factor of a prefix is the leading block of that
-    factor, and so are the prefix blocks of the lower-triangular
-    ``M12 = L2^{-1} L1`` and ``M21 = L1^{-1} L2``.  J(n) is therefore the
-    cumulative sum over rows i < n of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.
-    Each increment is >= 0 in exact arithmetic
-    (``M12[i, i] * M21[i, i] = 1``), so the only negative values are
-    roundoff near J = 0; those are clamped to zero.
+    design.  When both kernels are :class:`SchoenbergKernel`, the two matrices
+    are assembled together, with one Gegenbauer recurrence per block (see
+    ``kernels._schoenberg_matrices``); each kernel keeps its matrix, so the Gram
+    matrices here and later calls on any prefix design are served as views.
+    The Cholesky factor of a prefix is the leading block of that factor, and so
+    are the prefix blocks of the lower-triangular ``M12 = L2^{-1} L1`` and
+    ``M21 = L1^{-1} L2``.  J(n) is therefore the cumulative sum over rows i < n
+    of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.  Each increment is >= 0 in
+    exact arithmetic (``M12[i, i] * M21[i, i] = 1``), so the only negative
+    values are roundoff near J = 0; those are clamped to zero.
     """
     designs = list(designs)
     if not designs:
@@ -156,17 +155,15 @@ def j_divergence_trace(
     if not is_prefix_nested(designs):
         raise ContractError("designs must be strictly nested prefix-extensions")
     sizes = tuple(len(d) for d in designs)
+    require_geometry(k1, designs[-1])
+    require_geometry(k2, designs[-1])
     if isinstance(k1, MARKOV_KERNELS) and isinstance(k2, MARKOV_KERNELS):
-        require_geometry(k1, designs[-1])
-        require_geometry(k2, designs[-1])
         t = designs[-1].coords[:, 0]
         # largest design first, so that its errors are the ones raised, as on
         # the dense path
         values = np.array([markov_j_divergence(k1, k2, t[:n]) for n in reversed(sizes)])[::-1]
     else:
         if isinstance(k1, SchoenbergKernel) and isinstance(k2, SchoenbergKernel):
-            require_geometry(k1, designs[-1])
-            require_geometry(k2, designs[-1])
             # one recurrence for both matrices; the two grams below are served views
             _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol

@@ -17,9 +17,9 @@ The fits take one family, one design and an ``(m, n)`` array of stacked data row
 row in ``fit_mle``, every replicate of a grid size in the experiment.  The likelihood
 follows the Markov rule of ``j_divergence_trace``: for a Brownian or exponential kernel it
 sums O(n) AR(1) innovations on the sorted design (``_markov._markov_nll``), with no Gram
-matrix; a batch of points is one array computation on the theta rows of a Markov class
-family, or on those read off a callable family's kernels.  Every other kernel goes
-through the dense Gram matrix, one point at a time; the dense path is also its test oracle.
+matrix.  A Markov class family takes a batch of points as one array computation on its theta
+rows; a callable family is evaluated kernel by kernel, and a kernel that is not Markov goes
+through the dense Gram matrix, which is also the test oracle.
 
 The microergodic experiment simulates an exponential-kernel process on
 equispaced grids of a fixed bounded interval and tracks how the RMSE of the
@@ -84,8 +84,8 @@ class ParamSpace:
 class LikelihoodProblem:
     """Data vector on a design together with a parametric kernel family.
 
-    The family is a callable from theta to a kernel, or ``ExponentialKernel`` or ``BrownianKernel``:
-    theta lists the constructor's parameters in order, and no kernel is built per point."""
+    The family is ``ExponentialKernel`` or ``BrownianKernel``, whose theta lists the constructor's
+    parameters in order and builds no kernel per point, or a callable from theta to any kernel."""
 
     family: Callable[[np.ndarray], CovarianceKernel] | type
     design: Design
@@ -147,7 +147,7 @@ def neg_log_likelihood(problem: LikelihoodProblem, theta) -> float:
     A singular covariance yields ``PENALTY`` instead of an exception, so optimizers can
     treat the objective as total.  A Markov kernel or class (the rule of ``j_divergence_trace``)
     is evaluated by its O(n) AR(1) form, every other kernel through the dense Gram matrix.
-    This is the one-point case of the batched likelihood that the fits evaluate.
+    This is the one-point case of the batched likelihood of the fits, on either of its paths.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return float(_likelihood(problem.family, problem.design, problem.data[None])([0], theta[None])[0])
@@ -157,40 +157,35 @@ def _likelihood(family, design: Design, data: np.ndarray):
     """``nll(rows, thetas)``: the NLL of ``data[rows[i]]`` under ``family`` at ``thetas[i]`` for every i.
 
     ``data`` stacks ``(m, n)`` rows of values on ``design``, which is sorted once.  The ``(m, p)``
-    ``thetas`` of a Markov kernel class, checked once per batch, or the theta rows (``astuple``)
-    of the kernels a callable family gives of one Markov class, are one ``_markov_nll`` batch; a
-    batch of several classes is evaluated point by point, and a kernel of any other class
-    through its dense Gram matrix, with ``PENALTY`` where that matrix is singular.
+    ``thetas`` of a Markov kernel class, checked once per batch, are one ``_markov_nll`` batch.  A
+    callable family is evaluated kernel by kernel: a Markov kernel as its one theta row
+    (``astuple``), bit for bit that row of the class batch, any other kernel through its dense
+    Gram matrix, with ``PENALTY`` where that matrix is singular.
     """
     order, t, dt = _sort_line(design.coords[:, 0])
     line_data = data[:, order]
 
-    if isinstance(family, type):
-        require_geometry(family, design)
-        p = len(fields(family))
+    if not isinstance(family, type):
+        def point(kernel: CovarianceKernel, row: int) -> float:
+            if isinstance(kernel, MARKOV_KERNELS):
+                require_geometry(kernel, design)
+                return _markov_nll(type(kernel), np.array([astuple(kernel)]), t, dt, line_data[row : row + 1])[0]
+            try:
+                return -gaussian_logpdf(gram(kernel, design), data[row])
+            except SingularGramError:
+                return PENALTY
 
-    def dense(kernel: CovarianceKernel, row: int) -> float:
-        try:
-            return -gaussian_logpdf(gram(kernel, design), data[row])
-        except SingularGramError:
-            return PENALTY
+        return lambda rows, thetas: np.array([point(family(theta), row) for theta, row in zip(thetas, rows)])
+
+    require_geometry(family, design)
+    p = len(fields(family))
 
     def nll(rows, thetas: np.ndarray) -> np.ndarray:
-        kind = family
-        if not isinstance(family, type):
-            kernels = [family(theta) for theta in thetas]
-            kind = type(kernels[0])
-            if any(type(k) is not kind for k in kernels):
-                return np.concatenate([nll(rows[i : i + 1], thetas[i : i + 1]) for i in range(len(rows))])
-            if not issubclass(kind, MARKOV_KERNELS):
-                return np.array([dense(k, r) for k, r in zip(kernels, rows)])
-            require_geometry(kind, design)
-            thetas = np.array([astuple(k) for k in kernels])
         # p entries in (0, 1e154) pass the constructor's rules; else it reads each row
-        elif thetas.shape[1] != p or not (thetas.min() > 0 and thetas.max() < 1e154):
+        if thetas.shape[1] != p or not (thetas.min() > 0 and thetas.max() < 1e154):
             for theta in thetas:
                 family(*_array(theta, "theta", (p,)).tolist())
-        return _markov_nll(kind, thetas, t, dt, line_data[rows])
+        return _markov_nll(family, thetas, t, dt, line_data[rows])
 
     return nll
 

@@ -731,6 +731,21 @@ class TestFailedRunWritesNothing:
         monkeypatch.setattr(cli, "microergodic_experiment", failing_experiment)
         assert run([sub, "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == code
 
+    @pytest.mark.parametrize(
+        "sub, config, message",
+        [
+            ("sample", {**TestSample.CONFIG, "design": {"type": "grid", "n": 8}}, "unknown design type 'grid'"),
+            ("jdiv", {**JDIV_BROWNIAN, "designs": {"type": "grid", "max_n": 8}}, "unknown nested design type 'grid'"),
+            ("sphere", {"sphere_dim": 3, "K": 2}, "explicit spectra or a ratio_model"),
+        ],
+        ids=["design", "designs", "sphere-spectra"],
+    )
+    def test_unknown_config_form(self, tmp_path, capsys, sub, config, message):
+        out = tmp_path / "out"
+        assert run([sub, "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", RUNS)
     def test_no_out_created(self, tmp_path, monkeypatch, case):
         out = tmp_path / "out"

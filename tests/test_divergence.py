@@ -182,6 +182,8 @@ class TestJDivergenceTrace:
         d2 = Design.interval([0.25, 0.75, 1.0])
         with pytest.raises(ContractError):
             j_divergence_trace(k, k, [d1, d2])
+        with pytest.raises(ContractError, match="need at least one design"):
+            j_divergence_trace(k, k, [])
 
     def test_dense_trace_is_the_two_solve_cumsum(self):
         # the dtrsm solves are bitwise SciPy's LAPACK trtrs ones
@@ -210,6 +212,20 @@ class TestJDivergenceTrace:
         k2 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3))
         j_divergence_trace(k1, k2, fibonacci_sphere_designs([10, 20, 40]))
         assert calls == [40, 40]
+
+    def test_pair_checked_before_any_gram(self, monkeypatch):
+        # an interval kernel second: the Schoenberg matrix is neither assembled nor factored
+        calls = []
+
+        def recording_gram(kernel, design):
+            calls.append(type(kernel).__name__)
+            return gram(kernel, design)
+
+        monkeypatch.setattr("gaussequiv.divergence.gram", recording_gram)
+        k1 = SchoenbergKernel(SchoenbergSpectrum(3, np.ones(10)))
+        with pytest.raises(ContractError, match="ExponentialKernel acts on"):
+            j_divergence_trace(k1, ExponentialKernel(1.0, 1.0), fibonacci_sphere_designs([10, 20, 40]))
+        assert calls == []
 
     @pytest.mark.parametrize(
         "k1, k2",

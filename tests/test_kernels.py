@@ -150,6 +150,11 @@ class TestGram:
         with pytest.raises(ContractError):
             gram_from_matrix(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("entries", [[[1.0]], np.eye(2, dtype=int)], ids=["list", "int"])
+    def test_entries_must_be_a_float_array(self, entries):
+        with pytest.raises(ContractError, match="square float matrix"):
+            GramMatrix(entries)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
         # a symmetric NaN pair passes max|a - a'| > tol, which is False for NaN
@@ -252,6 +257,12 @@ class TestDesign:
         for points in (["0.1", "0.2"], [[0.1], [True]], [[0.1], None]):
             with pytest.raises(ContractError, match="points"):
                 Design.from_json({"geometry": geometry, "points": points})
+
+    def test_empty_design_and_unknown_geometry_rejected(self):
+        with pytest.raises(ContractError, match="at least one point"):
+            Design([], Geometry("euclidean", 1))
+        with pytest.raises(ContractError, match="unknown geometry kind 'torus'"):
+            Geometry("torus", 2)
 
     def test_sphere_needs_ambient_dimension_two(self):
         with pytest.raises(ContractError, match="dim must be >= 2, not 1"):
@@ -573,6 +584,10 @@ class TestSchoenbergSpectrum:
             SchoenbergSpectrum(2, np.array([1.0]))
         with pytest.raises(ContractError):
             SchoenbergSpectrum(3, np.array([1.0, -0.1]))
+        with pytest.raises(ContractError, match="at least one coefficient"):
+            SchoenbergSpectrum(3, [])
+        with pytest.raises(ContractError, match="coefficients must be finite"):
+            SchoenbergSpectrum(3, [1.0, np.nan])
 
     @pytest.mark.parametrize(
         "coeffs", [["1.5", "2"], [True, 0.5], [1.0, None], np.array([True, False]), np.array([1.0 + 0j])]
@@ -618,6 +633,8 @@ class TestKernelJson:
     def test_unknown_variant(self):
         with pytest.raises(ContractError):
             kernel_from_json({"variant": "matern"})
+        with pytest.raises(ContractError, match="'variant' key"):
+            kernel_from_json([])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
     def test_non_finite_or_nonpositive_parameters_rejected(self, bad):

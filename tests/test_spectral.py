@@ -190,6 +190,16 @@ class TestChowSum:
         with pytest.raises(ContractError):
             chow_sum(m, m, 2)
 
+    def test_aligned_dimension_mismatch(self):
+        m1 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 1.0]), np.array([1, 3]))
+        m2 = AtomicSpectralMeasure(("a", "b"), np.array([1.0, 1.0]), np.array([1, 5]))
+        with pytest.raises(ContractError, match="aligned atoms must carry equal dimensions"):
+            chow_sum(m1, m2, 2)
+
+    def test_spectrum_without_positive_coefficients(self):
+        with pytest.raises(ContractError, match="no positive coefficients"):
+            atomic_measure_from_spectrum(SchoenbergSpectrum(3, np.zeros(3)))
+
 
 class TestTailModels:
     def test_power_divergent_when_slow(self):
@@ -229,6 +239,16 @@ class TestTailModels:
         chow_sum(m, m, 2, tail_model=Recording(), tail_weight_bound=5)
         assert calls == [(2.0, 2.0, 2), (0.0, 3.0, 2), (0.0, 5.0, 2)]
 
+    def test_zero_power_ratio_is_finite_at_any_rate(self):
+        # c = 0 gives equal spectra: a zero tail even where 2s <= p + 1 would diverge
+        model = PowerLawRatio(c=0.0, s=0.5)
+        res = sphere_equivalence_sum(*spectra_from_ratio_model(model, 3, 10), 10, tail_model=model)
+        assert (res.final, res.verdict, res.tail_bound) == (0.0, Verdict.FINITE, 0.0)
+
+    def test_base_model_has_no_ratio(self):
+        with pytest.raises(NotImplementedError):
+            RatioModel().ratio(np.arange(3.0))
+
     def test_constant_trivial_case(self):
         assert ConstantRatio(alpha=1.0).tail(0.0, 1.0, 10)[0] is Verdict.FINITE
         assert ConstantRatio(alpha=2.0).tail(0.0, 1.0, 10)[0] is Verdict.DIVERGENT
@@ -249,6 +269,8 @@ class TestMeasureJson:
             AtomicSpectralMeasure(("a",), np.array([0.0]), np.array([1]))
         with pytest.raises(ContractError):
             AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([0]))
+        with pytest.raises(ContractError, match="'atoms' list"):
+            AtomicSpectralMeasure.from_json({})
 
     @pytest.mark.parametrize(
         "masses, dims", [([[1.0, 2.0]], [1]), ([1.0], [[1, 2]]), ([[1.0]], [[1]])]
@@ -279,6 +301,11 @@ class TestInputValidation:
     )
     def test_ratio_model_not_json_number_rejected(self, obj):
         with pytest.raises(ContractError):
+            ratio_model_from_json(obj)
+
+    @pytest.mark.parametrize("obj, message", [({}, "'type' key"), ({"type": "x"}, "unknown ratio model type 'x'")])
+    def test_ratio_model_without_a_known_type_rejected(self, obj, message):
+        with pytest.raises(ContractError, match=message):
             ratio_model_from_json(obj)
 
     @pytest.mark.parametrize(
