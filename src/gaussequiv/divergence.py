@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
@@ -116,13 +117,6 @@ def _slope(sizes: Sequence[int], values: np.ndarray) -> float:
     return float(np.polyfit(np.asarray(sizes[-k:], dtype=float), values[-k:], 1)[0])
 
 
-def _squared_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared row norms of ``a^{-1} b`` for lower-triangular ``a``; the solve
-    is freed on return, so two of them are never live at once."""
-    m = _lower_solve(a, b)
-    return np.einsum("ij,ij->i", m, m)
-
-
 def j_divergence_trace(
     k1: CovarianceKernel, k2: CovarianceKernel, designs: Sequence[Design]
 ) -> DivergenceTrace:
@@ -143,11 +137,12 @@ def j_divergence_trace(
     ``kernels._schoenberg_matrices``); each kernel keeps its matrix, so the Gram
     matrices here and later calls on any prefix design are served as views.
     The Cholesky factor of a prefix is the leading block of that factor, and so
-    are the prefix blocks of the lower-triangular ``M12 = L2^{-1} L1`` and
-    ``M21 = L1^{-1} L2``.  J(n) is therefore the cumulative sum over rows i < n
-    of ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.  Each increment is >= 0 in
-    exact arithmetic (``M12[i, i] * M21[i, i] = 1``), so the only negative
-    values are roundoff near J = 0; those are clamped to zero.
+    are the prefix blocks of the lower-triangular ``M12 = L2^{-1} L1``, one BLAS
+    ``dtrsm`` solve, and ``M21 = L1^{-1} L2 = M12^{-1}``, LAPACK ``dtrtri`` in place.
+    J(n) is therefore the cumulative sum over rows i < n of
+    ``(||M12[i]||^2 + ||M21[i]||^2) / 2 - 1``.  Each increment is >= 0 up to
+    roundoff (``M21[i, i] = 1 / M12[i, i]``), so the only negative values are
+    roundoff near J = 0; those are clamped to zero.
     """
     designs = list(designs)
     if not designs:
@@ -167,7 +162,10 @@ def j_divergence_trace(
             # one recurrence for both matrices; the two grams below are served views
             _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        steps = 0.5 * (_squared_rows(l2, l1) + _squared_rows(l1, l2)) - 1.0
+        m = _lower_solve(l2, l1)
+        rows = np.einsum("ij,ij->i", m, m)
+        m = dtrtri(m, lower=1, overwrite_c=1)[0]  # M21 over M12: one n x n array live
+        steps = 0.5 * (rows + np.einsum("ij,ij->i", m, m)) - 1.0
         values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
     return DivergenceTrace(sizes=sizes, values=values, slope_estimate=_slope(sizes, values))
 

@@ -49,9 +49,9 @@ SPHERE_NORM_TOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 # entries per block of _schoenberg_matrices: five working arrays of 128 KiB
-# each, the dots, three recurrence buffers and one product, plus one
-# accumulator per kernel assembled; for one or two kernels they stay in a
-# 1-2 MiB per-core L2 cache
+# each, the dots (summed coordinate by coordinate, with no 3-D temporary),
+# three recurrence buffers and one product, plus one accumulator per kernel
+# assembled; for one or two kernels they stay in a 1-2 MiB per-core L2 cache
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -491,9 +491,10 @@ def _schoenberg_matrices(kernels: Sequence[SchoenbergKernel], coords: np.ndarray
         i0 = 0
         while i0 < n:
             i1 = min(n, i0 + max(1, _BLOCK_ENTRIES // (n - i0)))
-            # broadcasting keeps the per-entry reduction order fixed, so the
-            # dots of (i, j) and (j, i) are equal regardless of BLAS threading
-            dots = (coords[i0:i1, None, :] * coords[None, i0:, :]).sum(axis=-1)
+            # coordinate by coordinate with no BLAS: (i, j) and (j, i) are one sum
+            dots = np.multiply.outer(coords[i0:i1, 0], coords[i0:, 0])
+            for c in range(1, coords.shape[1]):
+                dots += np.multiply.outer(coords[i0:i1, c], coords[i0:, c])
             np.clip(dots, -1.0, 1.0, out=dots)
             terms = _gegenbauer_terms(d, dots)
             g = next(terms)
@@ -557,10 +558,9 @@ class GramMatrix:
         return _lower_solve(self.chol, b)
 
 
-def _lower_solve(a: np.ndarray, b: np.ndarray, **flags) -> np.ndarray:
-    """``a^{-1} b`` by BLAS ``dtrsm`` for lower-triangular ``a``, unchecked; ``flags`` go to
-    ``dtrsm`` (``side``, ``trans_a``, ``overwrite_b``, which writes even a read-only ``b``)."""
-    return dtrsm(1.0, a, b, lower=1, **flags)
+def _lower_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` by BLAS ``dtrsm`` for lower-triangular ``a``, unchecked."""
+    return dtrsm(1.0, a, b, lower=1)
 
 
 def gram_from_matrix(entries: np.ndarray) -> GramMatrix:

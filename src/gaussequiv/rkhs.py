@@ -2,15 +2,16 @@
 
 On a finite design the RKHS of a strictly positive-definite kernel is R^n
 with inner product ``<v, w> = v' R(n)^{-1} w``.  Everything here is BLAS
-``dtrsm`` solves on the cached Cholesky factor; no inverse is ever formed.
+``dtrsm`` or LAPACK ``dsygst`` on the cached Cholesky factor; no inverse is formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dsygst
 
 from .errors import ContractError
-from .kernels import GramMatrix, _array, _integer, _lower_solve, _require_symmetric
+from .kernels import GramMatrix, _array, _integer, _require_symmetric
 
 __all__ = [
     "rkhs_inner",
@@ -51,20 +52,20 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
 
     For a symmetric matrix D holding the restriction of a kernel difference,
     the squared norm in the tensor product of the finite-design RKHS with
-    itself is ``trace(R^{-1} D R^{-1} D')``, the squared Frobenius norm of
-    ``L^{-1} D' L^{-T}`` (two ``dtrsm`` solves, the second in place).
+    itself is ``trace(R^{-1} D R^{-1} D)``, the squared Frobenius norm of the
+    symmetric ``W = L^{-1} D L^{-T}``.  LAPACK ``dsygst`` forms W's lower triangle
+    from D's upper one, the triangle a Gram matrix is factored from, in n^3 flops.
     Restriction norms are non-decreasing under design nesting, so nested
     evaluations bracket the full-domain norm from below.
 
-    A float64 ``(n, n)`` ndarray ``diff`` is copied once by the first solve
-    and never written, so it may be read-only and of any layout; any other
-    input is read as an array of JSON numbers.
+    A float64 ``(n, n)`` ndarray ``diff`` is copied once and never written,
+    so it may be read-only and of any layout; any other input is read as an
+    array of JSON numbers.
     """
     shape = (g1.n, g1.n)
     in_place = type(diff) is np.ndarray and diff.dtype == float and diff.shape == shape
     d = diff if in_place else _array(diff, "diff", shape)
     _require_symmetric(d, "difference matrix")
-    # L^{-1} D' L^{-T}, the transpose of L^{-1} D L^{-T}: D' of a C-order D is
-    # copied without transposing, and the second solve overwrites the first
-    w = _lower_solve(g1.chol, _lower_solve(g1.chol, d.T), side=1, trans_a=1, overwrite_b=1)
-    return float(np.einsum("ij,ij->", w, w))
+    # triu(D)' is Fortran-order with zeros above the diagonal, which dsygst leaves
+    w = dsygst(np.triu(d).T, g1.chol, itype=1, lower=1, overwrite_a=1)[0]
+    return float(2.0 * np.einsum("ij,ij->", w, w) - np.einsum("ii,ii->", w, w))

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dtrtri
 
 from gaussequiv import (
     BrownianKernel,
@@ -185,19 +187,26 @@ class TestJDivergenceTrace:
         with pytest.raises(ContractError, match="need at least one design"):
             j_divergence_trace(k, k, [])
 
-    def test_dense_trace_is_the_two_solve_cumsum(self):
-        # the dtrsm solves are bitwise SciPy's LAPACK trtrs ones
+    def test_dense_trace_is_the_solve_and_inverse_cumsum(self):
+        # M12 = L2^-1 L1 by dtrsm and M21 = M12^-1 by dtrtri, bit for bit; the
+        # two-solve route M21 = L1^-1 L2 agrees to 1e-12 relative
         k = np.arange(61.0)
         k1 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3 * (1.0 + 0.7 / (k + 1.0))))
         k2 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3))
         designs = fibonacci_sphere_designs([64, 128, 256, 512])
         trace = j_divergence_trace(k1, k2, designs)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        m12 = solve_triangular(l2, l1, lower=True)
-        m21 = solve_triangular(l1, l2, lower=True)
-        steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
-        expected = np.maximum(np.cumsum(steps)[np.array(trace.sizes) - 1], 0.0)
-        assert trace.values.tobytes() == expected.tobytes()
+
+        def cumsum(m12, m21):
+            steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
+            return np.maximum(np.cumsum(steps)[np.array(trace.sizes) - 1], 0.0)
+
+        m12 = dtrsm(1.0, l2, l1, lower=1)
+        m21, info = dtrtri(m12, lower=1)
+        assert info == 0
+        assert trace.values.tobytes() == cumsum(m12, m21).tobytes()
+        two_solves = cumsum(solve_triangular(l2, l1, lower=True), solve_triangular(l1, l2, lower=True))
+        np.testing.assert_allclose(trace.values, two_solves, rtol=1e-12, atol=0.0)
 
     def test_one_factorization_per_kernel(self, monkeypatch):
         calls = []

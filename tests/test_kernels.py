@@ -430,6 +430,29 @@ class TestSchoenbergMatrix:
         assert (m == m.T).all()
         assert m.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 9, 12, 16])
+    def test_dots_summed_coordinate_by_coordinate(self, monkeypatch, d):
+        # bitwise the broadcast sum over the last axis while numpy adds d <= 7
+        # terms in order; from d = 8 its unrolled sum pairs them otherwise, and
+        # the two agree to a few ulp of 1, the largest |dot|
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 1 << 20)
+        seen, real = [], kernels._gegenbauer_terms
+
+        def recording(dim, x):
+            seen.append(x.copy())
+            return real(dim, x)
+
+        monkeypatch.setattr(kernels, "_gegenbauer_terms", recording)
+        coords = random_unit_vectors(np.random.default_rng(d), 300, d)
+        SchoenbergKernel(SchoenbergSpectrum(d, [1.0, 1.0])).matrix(coords)
+        (dots,) = seen
+        broadcast = np.clip((coords[:, None, :] * coords[None, :, :]).sum(axis=-1), -1.0, 1.0)
+        assert (dots == dots.T).all()
+        if d <= 7:
+            assert dots.tobytes() == broadcast.tobytes()
+        else:
+            assert np.max(np.abs(dots - broadcast)) <= 4 * np.spacing(1.0)
+
 
 class TestKeptSchoenbergMatrix:
     SPECTRUM = SchoenbergSpectrum(3, 1.0 / (np.arange(9.0) + 1.0) ** 2)

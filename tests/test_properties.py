@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from gaussequiv import (
@@ -23,6 +23,7 @@ from gaussequiv import (
     fibonacci_sphere_designs,
     gaussian_logpdf,
     gram,
+    gram_from_matrix,
     gegenbauer_normalized,
     is_prefix_nested,
     j_divergence,
@@ -48,6 +49,10 @@ box_param = st.floats(np.log(0.05), np.log(20.0)).map(np.exp)
 # tensor norms on well-conditioned sphere Grams (condition number a few
 # hundred at most) carry roundoff far below this
 TENSOR_RTOL = 1e-9
+
+# a condition number past 1/sqrt(eps) makes R numerically singular for a
+# 1e-12 comparison with a solve
+SINGULAR_COND = 1e8
 
 # the Markov and dense likelihoods sum the same terms in different orders;
 # on these designs the dense Cholesky loses at most a few 1e-12 relative
@@ -245,3 +250,24 @@ def test_tensor_norms_monotone_and_bounded_by_sphere_sum(last_k, data):
     for a, b in zip(norms, norms[1:]):
         assert b >= a - TENSOR_RTOL * (1.0 + a)
     assert norms[-1] <= bound + TENSOR_RTOL * (1.0 + bound)
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_tensor_norm_is_the_solve_trace(n, seed, data):
+    # R = Q diag(lam) Q' with lam in [1e-3, 1], so the solve oracle holds to
+    # 1e-12; some draws zero one lam, and such a singular R is counted, not passed
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    if data.draw(st.integers(0, 3)) == 0:
+        lam[0] = 0.0
+    r = (q * lam) @ q.T
+    r = (r + r.T) / 2.0
+    d = rng.standard_normal((n, n))
+    d = d + d.T
+    if np.linalg.cond(r) > SINGULAR_COND:
+        event("R numerically singular")
+        reject()
+    m = np.linalg.solve(r, d)
+    assert tensor_norm_finite(gram_from_matrix(r), d) == pytest.approx(float(np.trace(m @ m)), rel=1e-12)

@@ -200,6 +200,15 @@ class TestTensorNormFinite:
         g = gram_from_matrix(a)
         assert tensor_norm_finite(g, a) == pytest.approx(3.0, rel=1e-9)
 
+    def test_one_ulp_asymmetry_reads_the_upper_triangle(self):
+        # as for a Gram matrix: the value is that of the upper triangle mirrored
+        g = gram_from_matrix(np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]]))
+        diff = np.array([[1.0, 2.0, 0.1], [2.0, -0.5, 0.2], [0.1, 0.2, 0.7]])
+        diff[0, 1] = np.nextafter(2.0, np.inf)
+        upper, lower = np.triu(diff) + np.triu(diff, 1).T, np.tril(diff) + np.tril(diff, -1).T
+        assert tensor_norm_finite(g, upper) != tensor_norm_finite(g, lower)
+        assert tensor_norm_finite(g, diff) == tensor_norm_finite(g, upper)
+
     def test_nesting_monotone_interval(self):
         k1 = ExponentialKernel(sigma=1.0, beta=1.0)
         k2 = ExponentialKernel(sigma=1.2, beta=0.7)
