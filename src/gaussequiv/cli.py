@@ -32,7 +32,7 @@ from .designs import (
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
 from .errors import AtomMismatchError, ContractError, OptimizationFailedError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, _integer, gram, kernel_from_json
+from .kernels import Design, SchoenbergSpectrum, _integer, _json_object, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
 from .sampler import batch_to_csv, sample_paths
 from .spectral import (
@@ -62,19 +62,13 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _object(obj, name: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ContractError(f"{name} must be a JSON object, not {type(obj).__name__}")
-    return obj
-
-
 def _given(obj: dict, *keys: str) -> dict:
     """The optional ``keys`` present in ``obj``; the library defaults the rest."""
     return {k: obj[k] for k in keys if k in obj}
 
 
 def _design_from_config(obj: dict) -> Design:
-    kind = obj["type"]
+    kind = _json_object(obj, "design", "type")["type"]
     if kind == "equispaced_interval":
         return equispaced_interval_design(obj["n"], **_given(obj, "domain"))
     if kind == "dyadic_interval":
@@ -87,7 +81,7 @@ def _design_from_config(obj: dict) -> Design:
 
 
 def _nested_designs_from_config(obj: dict) -> list[Design]:
-    kind = obj["type"]
+    kind = _json_object(obj, "designs", "type")["type"]
     if kind == "dyadic_interval":
         return dyadic_interval_designs(obj["max_n"], **_given(obj, "domain"))
     if kind == "fibonacci_sphere":
@@ -154,7 +148,7 @@ def _run_mle(config: dict, seed, args) -> dict:
         n_grid=config["n_grid"],
         replicates=config["replicates"],
         seed=seed,
-        optimizer=OptimizerConfig(**_object(config.get("optimizer", {}), "optimizer")),
+        optimizer=OptimizerConfig(**_json_object(config.get("optimizer", {}), "optimizer")),
         **_given(config, "theta0", "domain", "box"),
     )
     report = microergodic_experiment(exp_config)
@@ -246,7 +240,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config_bytes = Path(args.config).read_bytes()
-        config = _object(json.loads(config_bytes), "config")
+        config = _json_object(json.loads(config_bytes), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         seed = None if seed is None else _integer(seed, "seed", 0)
         if seed is None and args.subcommand in ("sample", "mle"):

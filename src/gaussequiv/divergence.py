@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtri
 
 from ._csvio import write_csv
@@ -38,7 +39,6 @@ from .kernels import (
     SchoenbergKernel,
     _array,
     _counts,
-    _lower_solve,
     _number,
     _schoenberg_matrices,
     gram,
@@ -85,7 +85,7 @@ def j_divergence(g1: GramMatrix, g2: GramMatrix) -> float:
 def _squared_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``||a^{-1} b||_F^2`` for lower-triangular ``a``; the solve is freed on
     return, so two of them are never live at once."""
-    m = _lower_solve(a, b)
+    m = dtrsm(1.0, a, b, lower=1)
     return float(np.sum(m * m))
 
 
@@ -162,7 +162,7 @@ def j_divergence_trace(
             # one recurrence for both matrices; the two grams below are served views
             _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        m = _lower_solve(l2, l1)
+        m = dtrsm(1.0, l2, l1, lower=1)
         rows = np.einsum("ij,ij->i", m, m)
         m = dtrtri(m, lower=1, overwrite_c=1)[0]  # M21 over M12: one n x n array live
         steps = 0.5 * (rows + np.einsum("ij,ij->i", m, m)) - 1.0

@@ -12,6 +12,7 @@ harmonic dimension and ``G_k`` the Gegenbauer polynomial normalized to
 
 from __future__ import annotations
 
+import copy
 import math
 import reprlib
 from abc import ABC, abstractmethod
@@ -64,9 +65,6 @@ def _number(value, key: str, array: bool = False):
     list costs no Python call per entry.  A numeric ndarray can hold none of
     the three, so its entries are not scanned.
     """
-    # a float is one already: a callable likelihood family builds a kernel per point
-    if type(value) is float and not array:
-        return value
     numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
     leaves = value if numeric else np.array(value, dtype=object)
     types = () if numeric else set(map(type, leaves.flat))
@@ -111,6 +109,14 @@ def _counts(value, key: str) -> tuple[int, ...]:
 def _pair(value, key: str) -> tuple[float, float]:
     """Exactly two JSON numbers as a tuple of floats."""
     return tuple(_array(value, key, (2,)).tolist())
+
+
+def _json_object(obj, what: str, key: str | None = None) -> dict:
+    """``obj`` itself, once it is a JSON object (a dict) holding ``key`` when one is given."""
+    if not (isinstance(obj, dict) and (key is None or key in obj)):
+        holding = "" if key is None else f" with the {key!r} key"
+        raise ContractError(f"{what} must be a JSON object{holding}, not {reprlib.repr(obj)}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -213,36 +219,32 @@ def harmonic_dimension(d: int, k: int) -> int:
     Computed as ``C(k+d-1, d-1) - C(k+d-3, d-1)`` with the convention
     ``C(m, j) = 0`` for ``m < j``; equals ``2k+1`` when ``d = 3``.
     """
-    return _harmonic(*_sphere_degree(d, k))
-
-
-def _harmonic(d: int, k: int) -> int:
+    d, k = _sphere_degree(d, k)
     return math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1)
 
 
 def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
     """Harmonic dimensions for degrees 0..max_degree, increasing; one past a float raises ContractError.
 
-    While int64 holds every partial product, all degrees are formed at once
-    by an exact binomial recurrence; past that, each is an exact Python int.
+    All degrees are formed at once by one exact binomial recurrence, on int64
+    while it holds every partial product and on Python ints past that.
     """
     d, last = _sphere_degree(d, max_degree)
-    if math.comb(last + d - 1, d - 1) * (last + d) < 2**63:
-        # c = C(m, d-1) for m = d-3 .. last+d-1 by c = c * (m - (d-1) + i) // i,
-        # i = 1..d-1: after step i, c is C(m - (d-1) + i, i), exact in int64
-        top = np.arange(-2, last + 1, dtype=np.int64)
-        c = np.ones_like(top)
-        for i in range(1, d):
-            top += 1
-            c *= top
-            c //= i
-        # h(k) = C(k+d-1, d-1) - C(k+d-3, d-1)
-        return (c[2:] - c[:-2]).astype(float)
-    dims = [_harmonic(d, k) for k in range(last + 1)]
-    if dims[-1] > _FLOAT_MAX:
-        k = next(k for k, h in enumerate(dims) if h > _FLOAT_MAX)
+    exact = np.int64 if math.comb(last + d - 1, d - 1) * (last + d) < 2**63 else object
+    # c = C(m, d-1) for m = d-3 .. last+d-1 by c = c * (m - (d-1) + i) // i,
+    # i = 1..d-1: after step i, c is C(m - (d-1) + i, i), exact in either dtype
+    top = np.arange(-2, last + 1, dtype=exact)
+    c = np.ones_like(top)
+    for i in range(1, d):
+        top += 1
+        c *= top
+        c //= i
+    # h(k) = C(k+d-1, d-1) - C(k+d-3, d-1), increasing in k
+    h = c[2:] - c[:-2]
+    if h[-1] > _FLOAT_MAX:
+        k = int(np.argmax(h > _FLOAT_MAX))
         raise ContractError(f"harmonic dimension of degree {k} on S^{d - 1} (d = {d}) exceeds a float")
-    return np.array(dims, dtype=float)
+    return h.astype(float)
 
 
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:
@@ -555,12 +557,7 @@ class GramMatrix:
         """Solve ``L x = b`` against the cached lower factor; a non-finite ``b`` raises :class:`ContractError`."""
         if not np.isfinite(b).all():
             raise ContractError("right-hand side must be finite")
-        return _lower_solve(self.chol, b)
-
-
-def _lower_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^{-1} b`` by BLAS ``dtrsm`` for lower-triangular ``a``, unchecked."""
-    return dtrsm(1.0, a, b, lower=1)
+        return dtrsm(1.0, self.chol, b, lower=1)
 
 
 def gram_from_matrix(entries: np.ndarray) -> GramMatrix:
@@ -621,9 +618,10 @@ def eval_kernel(kernel: CovarianceKernel, s, t) -> float:
 
     The points pass the same checks as design points on the kernel's
     geometry (they may coincide), and the value is the off-diagonal entry of
-    the kernel matrix on ``(s, t)``.
+    the kernel matrix on ``(s, t)``, read off a shallow copy of the kernel: a
+    kept :class:`SchoenbergKernel` matrix serves a prefix pair and is never replaced.
     """
-    return float(kernel.matrix(_points_array((s, t), kernel.geometry))[0, 1])
+    return float(copy.copy(kernel).matrix(_points_array((s, t), kernel.geometry))[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +637,10 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
         {"variant": "brownian", "sigma": 2.0}
         {"variant": "exponential", "sigma": 1.0, "beta": 1.0}
         {"variant": "schoenberg", "d": 3, "coeffs": [1.0, 0.5, ...]}
+
+    A non-object, or one with no ``variant`` key, raises :class:`ContractError` (:func:`_json_object`).
     """
-    try:
-        variant = obj["variant"]
-    except (TypeError, KeyError):
-        raise ContractError("kernel description must be an object with a 'variant' key")
+    variant = _json_object(obj, "kernel description", "variant")["variant"]
     if variant == "brownian":
         return BrownianKernel(sigma=obj["sigma"])
     if variant == "exponential":

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import AtomMismatchError, ContractError
-from .kernels import SchoenbergSpectrum, _array, _integer, _number, harmonic_dimensions
+from .kernels import SchoenbergSpectrum, _array, _integer, _json_object, _number, harmonic_dimensions
 
 __all__ = [
     "Verdict",
@@ -94,10 +94,7 @@ class AtomicSpectralMeasure:
     @staticmethod
     def from_json(obj: dict) -> "AtomicSpectralMeasure":
         """Load from ``{"atoms": [{"label": ..., "mass": ..., "dim": ...}, ...]}``."""
-        try:
-            atoms = obj["atoms"]
-        except (TypeError, KeyError):
-            raise ContractError("measure description must contain an 'atoms' list")
+        atoms = _json_object(obj, "measure description", "atoms")["atoms"]
         return AtomicSpectralMeasure(
             labels=[a["label"] for a in atoms],
             masses=[a["mass"] for a in atoms],
@@ -191,10 +188,7 @@ class ConstantRatio(RatioModel):
 def ratio_model_from_json(obj: dict) -> RatioModel:
     """Build a tail model from ``{"type": "power", "c": ..., "s": ...}`` or
     ``{"type": "constant", "alpha": ...}``."""
-    try:
-        kind = obj["type"]
-    except (TypeError, KeyError):
-        raise ContractError("ratio model must be an object with a 'type' key")
+    kind = _json_object(obj, "ratio model", "type")["type"]
     if kind == "power":
         return PowerLawRatio(c=obj["c"], s=obj["s"])
     if kind == "constant":

@@ -737,8 +737,10 @@ class TestFailedRunWritesNothing:
             ("sample", {**TestSample.CONFIG, "design": {"type": "grid", "n": 8}}, "unknown design type 'grid'"),
             ("jdiv", {**JDIV_BROWNIAN, "designs": {"type": "grid", "max_n": 8}}, "unknown nested design type 'grid'"),
             ("sphere", {"sphere_dim": 3, "K": 2}, "explicit spectra or a ratio_model"),
+            ("sample", {**TestSample.CONFIG, "design": 5}, "design must be a JSON object"),
+            ("jdiv", {**JDIV_BROWNIAN, "designs": []}, "designs must be a JSON object"),
         ],
-        ids=["design", "designs", "sphere-spectra"],
+        ids=["design", "designs", "sphere-spectra", "design-not-object", "designs-not-object"],
     )
     def test_unknown_config_form(self, tmp_path, capsys, sub, config, message):
         out = tmp_path / "out"

@@ -310,6 +310,24 @@ class TestHarmonicDimension:
         with pytest.raises(ContractError, match=message):
             SchoenbergSpectrum(500, np.ones(1001)).harmonic_dims
 
+    @pytest.mark.parametrize("d", range(3, 41))
+    def test_exact_on_both_sides_of_the_int64_switch(self, d):
+        def fits(k):  # the rule for an int64 recurrence: every partial product fits
+            return math.comb(k + d - 1, d - 1) * (k + d) < 2**63
+
+        # the largest K that fits; K + 1 runs the recurrence on Python ints
+        last, past = 0, 1
+        while fits(past):
+            last, past = past, 2 * past
+        while past - last > 1:
+            mid = (last + past) // 2
+            last, past = (mid, past) if fits(mid) else (last, mid)
+        # c[m - (d-3)] = C(m, d-1) for m = d-3 .. K+d, so h(k) = c[k+2] - c[k]
+        c = [math.comb(m, d - 1) for m in range(d - 3, last + d + 1)]
+        expected = np.array([float(a - b) for a, b in zip(c[2:], c)])
+        assert harmonic_dimensions(d, last).tobytes() == expected[:-1].tobytes()
+        assert harmonic_dimensions(d, last + 1).tobytes() == expected.tobytes()
+
 
 # the three special functions as functions of (d, k); one rule reads both
 SPECIAL = {
@@ -599,6 +617,17 @@ class TestSchoenbergMatricesTogether:
         assert all(k.matrix(d.coords).base is m for k, m in zip((k1, k2), kept) for d in designs)
         assert len(recurrences) == blocks
         assert [m.tobytes() for m in kept] == [self.alone(s, designs[-1].coords) for s in self.SPECTRA]
+
+    def test_eval_kernel_keeps_the_kept_matrix(self):
+        designs = fibonacci_sphere_designs([10, 20, 40])
+        k1, k2 = SchoenbergKernel(self.SPECTRA[0]), SchoenbergKernel(self.SPECTRA[1])
+        j_divergence_trace(k1, k2, designs)
+        coords = designs[-1].coords
+        whole = k1.matrix(coords).base
+        # a pair that is not a prefix of the design, then one that is
+        assert eval_kernel(k1, coords[3], coords[1]) == whole[3, 1]
+        assert eval_kernel(k1, coords[0], coords[1]) == whole[0, 1]
+        assert k1.matrix(designs[-2].coords).base is whole
 
 
 class TestSchoenbergSpectrum:

@@ -269,7 +269,7 @@ class TestMeasureJson:
             AtomicSpectralMeasure(("a",), np.array([0.0]), np.array([1]))
         with pytest.raises(ContractError):
             AtomicSpectralMeasure(("a",), np.array([1.0]), np.array([0]))
-        with pytest.raises(ContractError, match="'atoms' list"):
+        with pytest.raises(ContractError, match="'atoms' key"):
             AtomicSpectralMeasure.from_json({})
 
     @pytest.mark.parametrize(
