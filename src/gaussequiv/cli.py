@@ -8,7 +8,8 @@ repeated runs with the same config and seed on one platform and release.
 
 Exit codes: 0 success, 2 malformed or unreadable config (or an output that
 cannot be written), 3 singular Gram matrix, 4 spectral support mismatch
-(orthogonality), 5 optimization failure rate above 20%.
+(orthogonality), 5 optimization failure rate above 20%.  Any other exception
+is a fault in the library and propagates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -50,6 +52,23 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_ATOM_MISMATCH = 4
 EXIT_OPTIMIZATION = 5
+
+
+class _Config(dict):
+    """A decoded JSON object whose missing key raises :class:`ContractError` naming it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise ContractError(f"missing key {key!r}")
+
+
+def _decode(data: bytes, what: str, **hooks):
+    """``data`` decoded as JSON; bytes that do not decode raise :class:`ContractError` naming ``what``."""
+    try:
+        return json.loads(data, **hooks)
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer literal past Python's digit limit
+        raise ContractError(f"{what} is not JSON: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -122,11 +141,13 @@ def _run_sphere(config: dict, seed, args) -> dict:
 
 
 def _run_chow(config: dict, seed, args) -> dict:
-    base = Path(args.config).resolve().parent
-    m1 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure1"]).read_text()))
-    m2 = AtomicSpectralMeasure.from_json(json.loads((base / config["measure2"]).read_text()))
+    base, measures = Path(args.config).resolve().parent, []
+    for key in ("measure1", "measure2"):
+        if not isinstance(config[key], str) or "\0" in config[key]:
+            raise ContractError(f"{key} must be a path as a JSON string, not {config[key]!r}")
+        measures.append(AtomicSpectralMeasure.from_json(_decode((base / config[key]).read_bytes(), key)))
     model = ratio_model_from_json(config["ratio_model"]) if "ratio_model" in config else None
-    result = chow_sum(m1, m2, config["N"], tail_model=model, tail_weight_bound=config.get("weight_bound"))
+    result = chow_sum(*measures, config["N"], tail_model=model, tail_weight_bound=config.get("weight_bound"))
     return _criterion_outputs(result, "n", {"N": len(result.terms)})
 
 
@@ -144,11 +165,14 @@ def _run_sample(config: dict, seed, args) -> dict:
 
 
 def _run_mle(config: dict, seed, args) -> dict:
+    optimizer = _json_object(config.get("optimizer", {}), "optimizer")
+    if unknown := set(optimizer).difference(f.name for f in fields(OptimizerConfig)):
+        raise ContractError(f"unknown optimizer keys {sorted(unknown)}")
     exp_config = ExperimentConfig(
         n_grid=config["n_grid"],
         replicates=config["replicates"],
         seed=seed,
-        optimizer=OptimizerConfig(**_json_object(config.get("optimizer", {}), "optimizer")),
+        optimizer=OptimizerConfig(**optimizer),
         **_given(config, "theta0", "domain", "box"),
     )
     report = microergodic_experiment(exp_config)
@@ -240,7 +264,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config_bytes = Path(args.config).read_bytes()
-        config = _json_object(json.loads(config_bytes), "config")
+        config = _json_object(_decode(config_bytes, "config", object_hook=_Config), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         seed = None if seed is None else _integer(seed, "seed", 0)
         if seed is None and args.subcommand in ("sample", "mle"):
@@ -261,7 +285,7 @@ def main(argv=None) -> int:
             else:
                 output(outdir / name)
         return EXIT_OK
-    except (KeyError, TypeError, ValueError) as exc:
+    except ContractError as exc:
         return _fail(f"invalid config: {exc}", EXIT_CONFIG)
     except OSError as exc:
         return _fail(str(exc), EXIT_CONFIG)

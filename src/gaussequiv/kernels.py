@@ -12,6 +12,7 @@ harmonic dimension and ``G_k`` the Gegenbauer polynomial normalized to
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 import reprlib
@@ -199,8 +200,8 @@ class Design:
 
     @staticmethod
     def from_json(obj: dict) -> "Design":
-        geom = Geometry(obj["geometry"]["kind"], obj["geometry"]["dim"])
-        return Design(obj["points"], geom)
+        geom = _json_object(obj["geometry"], "geometry")
+        return Design(obj["points"], Geometry(geom["kind"], geom["dim"]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,10 @@ def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
     while it holds every partial product and on Python ints past that.
     """
     d, last = _sphere_degree(d, max_degree)
+    # h is increasing: test the last degree, and bisect for the first one past a float
+    if harmonic_dimension(d, last) > _FLOAT_MAX:
+        k = bisect.bisect_right(range(last + 1), _FLOAT_MAX, key=lambda k: harmonic_dimension(d, k))
+        raise ContractError(f"harmonic dimension of degree {k} on S^{d - 1} (d = {d}) exceeds a float")
     exact = np.int64 if math.comb(last + d - 1, d - 1) * (last + d) < 2**63 else object
     # c = C(m, d-1) for m = d-3 .. last+d-1 by c = c * (m - (d-1) + i) // i,
     # i = 1..d-1: after step i, c is C(m - (d-1) + i, i), exact in either dtype
@@ -240,11 +245,7 @@ def harmonic_dimensions(d: int, max_degree: int) -> np.ndarray:
         c *= top
         c //= i
     # h(k) = C(k+d-1, d-1) - C(k+d-3, d-1), increasing in k
-    h = c[2:] - c[:-2]
-    if h[-1] > _FLOAT_MAX:
-        k = int(np.argmax(h > _FLOAT_MAX))
-        raise ContractError(f"harmonic dimension of degree {k} on S^{d - 1} (d = {d}) exceeds a float")
-    return h.astype(float)
+    return (c[2:] - c[:-2]).astype(float)
 
 
 def gegenbauer_normalized(k: int, d: int, x) -> float | np.ndarray:

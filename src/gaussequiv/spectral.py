@@ -95,6 +95,10 @@ class AtomicSpectralMeasure:
     def from_json(obj: dict) -> "AtomicSpectralMeasure":
         """Load from ``{"atoms": [{"label": ..., "mass": ..., "dim": ...}, ...]}``."""
         atoms = _json_object(obj, "measure description", "atoms")["atoms"]
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, dict) and "label" in a and "mass" in a and "dim" in a for a in atoms
+        ):
+            raise ContractError("atoms must be a list of JSON objects with 'label', 'mass' and 'dim' keys")
         return AtomicSpectralMeasure(
             labels=[a["label"] for a in atoms],
             masses=[a["mass"] for a in atoms],

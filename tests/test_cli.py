@@ -99,7 +99,6 @@ class TestJdiv:
         assert "unknown kernel variant 'matern'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_j_exit_code(self, tmp_path, capsys):
         # finite variances whose J overflows: max_n 16 gives the verdict rule its 4 designs
@@ -142,6 +141,14 @@ class TestJdiv:
         cfg = write_config(tmp_path, "cfg.json", config)
         assert run(["jdiv", "--config", cfg, "--out", tmp_path / "out"]) == code
 
+    def test_schoenberg_pair_orthogonal(self, tmp_path):
+        # the dense trace of two Schoenberg kernels; the verdict needs at least four designs
+        sphere = {"type": "fibonacci_sphere", "sizes": [10, 20, 40, 80], "sphere_dim": 3}
+        kernel = {"variant": "schoenberg", "d": 3, "coeffs": [1.0] * 12}
+        config = {"kernel1": kernel, "kernel2": dict(kernel, coeffs=[1.0, 0.5] * 6), "designs": sphere}
+        assert run(["jdiv", "--config", write_config(tmp_path, "cfg.json", config), "--out", tmp_path]) == 0
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 5
+        assert json.loads((tmp_path / "verdict.json").read_text())["verdict"]["label"] == "OrthogonalityIndicated"
 
     @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
     def test_domain_not_two_numbers_exit_code(self, tmp_path, domain):
@@ -318,6 +325,15 @@ class TestChow:
         assert lines[0] == "n,term,partial_sum" and len(lines) == 3
         assert sorted(os.listdir(tmp_path / "out")) == ["criterion.csv", "manifest.json", "verdict.json"]
 
+    @pytest.mark.parametrize("atoms", [5, [5], [{"label": "a1", "dim": 1}]], ids=["number", "numbers", "no-mass"])
+    def test_atoms_not_objects_with_three_keys_exit_code(self, tmp_path, capsys, atoms):
+        self._measures(tmp_path)
+        (tmp_path / "m2.json").write_text(json.dumps({"atoms": atoms}))
+        cfg = write_config(tmp_path, "cfg.json", {"measure1": "m1.json", "measure2": "m2.json", "N": 2})
+        assert run(["chow", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "atoms must be a list of JSON objects with 'label', 'mass' and 'dim' keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -417,6 +433,11 @@ class TestSample:
         assert run(["sample", "--config", cfg, "--out", out]) == 2
         assert not (out / "samples.csv").exists()
 
+    def test_five_rows_of_eight_cells(self, tmp_path):
+        config = dict(self.CONFIG, design={"type": "equispaced_interval", "n": 8, "domain": [0, 1]}, seed=3)
+        assert run(["sample", "--config", write_config(tmp_path, "cfg.json", config), "--out", tmp_path]) == 0
+        assert [len(row.split(",")) for row in (tmp_path / "samples.csv").read_text().splitlines()] == [8] * 5
+
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -476,7 +497,6 @@ class TestMle:
         assert run(["mle", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "transform" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize(
         "box", [5, [[0.0, 0.05], [20.0, 20.0]], [[0.05, 0.05], [1.0, 1.0], [20.0, 20.0]]]
     )
@@ -523,6 +543,23 @@ class TestCommonBehavior:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["jdiv", "--config", bad, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("name, what", [("cfg.json", "config"), ("m2.json", "measure2")])
+    @pytest.mark.parametrize("text", [b'{"atoms": "\xff"}', b'{"atoms": ' + b"9" * 5000 + b"}"], ids=["utf8", "digits"])
+    def test_undecodable_file_exit_code(self, tmp_path, capsys, name, what, text):
+        TestChow()._measures(tmp_path)
+        write_config(tmp_path, "cfg.json", TestJsonTypes.BASE["chow"])
+        (tmp_path / name).write_bytes(text)
+        assert run(["chow", "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
+        assert f"invalid config: {what} is not JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_library_error_propagates(self, tmp_path, monkeypatch):
+        # a fault inside the library: a TypeError raised by a function that a subcommand calls
+        monkeypatch.setattr(cli, "dichotomy_diagnostic", lambda trace: trace + 1)
+        with pytest.raises(TypeError):
+            run(["jdiv", "--config", write_config(tmp_path, "cfg.json", JDIV_BROWNIAN), "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_key_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"kernel1": {"variant": "brownian", "sigma": 1}})
@@ -739,8 +776,17 @@ class TestFailedRunWritesNothing:
             ("sphere", {"sphere_dim": 3, "K": 2}, "explicit spectra or a ratio_model"),
             ("sample", {**TestSample.CONFIG, "design": 5}, "design must be a JSON object"),
             ("jdiv", {**JDIV_BROWNIAN, "designs": []}, "designs must be a JSON object"),
+            ("chow", {**TestJsonTypes.BASE["chow"], "measure1": 5}, "measure1 must be a path as a JSON string, not 5"),
+            ("chow", {**TestJsonTypes.BASE["chow"], "measure1": "m1\0.json"}, "measure1 must be a path as a JSON"),
+            ("sample", {**TestSample.CONFIG, "design": {"type": "explicit", "geometry": []}}, "geometry must be a"),
+            ("jdiv", {**JDIV_BROWNIAN, "kernel2": {"variant": "brownian"}}, "invalid config: missing key 'sigma'"),
+            ("mle", {**TestMle.CONFIG, "optimizer": {"starts": 2.5, "max_evals": 120}}, "starts must be an integer"),
+            ("mle", {**TestMle.CONFIG, "optimizer": {"transform": "log"}}, "unknown optimizer keys ['transform']"),
+            ("mle", {**TestMle.CONFIG, "n_grid": 6}, "n_grid must be a nonempty list of counts, not 6"),
+            ("mle", {**TestMle.CONFIG, "theta0": 1.0}, "theta0 must have shape (2,), not ()"),
         ],
-        ids=["design", "designs", "sphere-spectra", "design-not-object", "designs-not-object"],
+        ids=["design", "designs", "sphere-spectra", "design-not-object", "designs-not-object"]
+        + ["measure-path", "measure-path-nul", "geometry", "missing-key", "starts", "transform", "n_grid", "theta0"],
     )
     def test_unknown_config_form(self, tmp_path, capsys, sub, config, message):
         out = tmp_path / "out"

@@ -122,6 +122,7 @@ class TestJDivergence:
         with pytest.raises(ContractError):
             j_divergence(g1, g2)
 
+    @pytest.mark.blas_pin
     def test_value_is_the_two_solve_formula(self, rng):
         small, large = dyadic_interval_designs(64)[-1], dyadic_interval_designs(256)[-1]
         pairs = [
@@ -187,6 +188,7 @@ class TestJDivergenceTrace:
         with pytest.raises(ContractError, match="need at least one design"):
             j_divergence_trace(k, k, [])
 
+    @pytest.mark.blas_pin
     def test_dense_trace_is_the_solve_and_inverse_cumsum(self):
         # M12 = L2^-1 L1 by dtrsm and M21 = M12^-1 by dtrtri, bit for bit; the
         # two-solve route M21 = L1^-1 L2 agrees to 1e-12 relative

@@ -37,6 +37,8 @@ from gaussequiv import (
     neg_log_likelihood,
 )
 
+pytestmark = pytest.mark.blas_pin
+
 MEASURE1 = {"atoms": [{"label": "x1", "mass": 2.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
 MEASURE2 = {"atoms": [{"label": "x1", "mass": 1.0, "dim": 1}, {"label": "x2", "mass": 1.0, "dim": 2}]}
 

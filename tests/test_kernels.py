@@ -172,6 +172,7 @@ class TestGram:
         with pytest.raises(SingularGramError):
             GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.blas_pin
     @pytest.mark.parametrize("kind", ["exponential", "brownian", "schoenberg", "schoenberg_prefix"])
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1024])
     def test_factor_is_dpotrf_of_the_matrix(self, kind, n):
@@ -194,6 +195,7 @@ class TestGram:
         assert x.tobytes() == before and g.entries.tobytes() == before
         assert g.chol.tobytes() == dpotrf(np.array(x), lower=1, clean=1)[0].tobytes()
 
+    @pytest.mark.blas_pin
     def test_one_ulp_asymmetry_factors_the_upper_triangle(self):
         a = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
         a[0, 1] = np.nextafter(2.0, np.inf)
@@ -305,8 +307,9 @@ class TestHarmonicDimension:
         # h(531) on S^499 is about 1.28e308; h(532) is past the largest float
         message = r"harmonic dimension of degree 532 on S\^499 \(d = 500\) exceeds a float"
         assert harmonic_dimensions(500, 531)[-1] == float(harmonic_dimension(500, 531)) < math.inf
-        with pytest.raises(ContractError, match=message):
-            harmonic_dimensions(500, 1000)
+        for last in (532, 1000):
+            with pytest.raises(ContractError, match=message):
+                harmonic_dimensions(500, last)
         with pytest.raises(ContractError, match=message):
             SchoenbergSpectrum(500, np.ones(1001)).harmonic_dims
 

@@ -464,6 +464,7 @@ SIMPLEX_OBJECTIVES = {
 }
 
 
+@pytest.mark.blas_pin
 class TestLockstepMatchesScipy:
     """The lockstep search and the row-batched likelihood, bit for bit against their one-run forms."""
 

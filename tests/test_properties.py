@@ -252,6 +252,7 @@ def test_tensor_norms_monotone_and_bounded_by_sphere_sum(last_k, data):
     assert norms[-1] <= bound + TENSOR_RTOL * (1.0 + bound)
 
 
+@pytest.mark.blas_pin
 @SETTINGS
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
 def test_tensor_norm_is_the_solve_trace(n, seed, data):
