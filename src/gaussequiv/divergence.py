@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtri
 
+from ._blas import blas_scope
 from ._csvio import write_csv
 from ._markov import LOG_2PI, MARKOV_KERNELS, markov_j_divergence
 from .designs import is_prefix_nested
@@ -79,7 +80,8 @@ def j_divergence(g1: GramMatrix, g2: GramMatrix) -> float:
     """
     if g1.n != g2.n:
         raise ContractError("Gram matrices must have equal size")
-    return 0.5 * (_squared_norm(g2.chol, g1.chol) + _squared_norm(g1.chol, g2.chol)) - g1.n
+    with blas_scope(g1.n**3):
+        return 0.5 * (_squared_norm(g2.chol, g1.chol) + _squared_norm(g1.chol, g2.chol)) - g1.n
 
 
 def _squared_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -162,9 +164,10 @@ def j_divergence_trace(
             # one recurrence for both matrices; the two grams below are served views
             _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        m = dtrsm(1.0, l2, l1, lower=1)
-        rows = np.einsum("ij,ij->i", m, m)
-        m = dtrtri(m, lower=1, overwrite_c=1)[0]  # M21 over M12: one n x n array live
+        with blas_scope(sizes[-1] ** 3):
+            m = dtrsm(1.0, l2, l1, lower=1)
+            rows = np.einsum("ij,ij->i", m, m)
+            m = dtrtri(m, lower=1, overwrite_c=1)[0]  # M21 over M12: one n x n array live
         steps = 0.5 * (rows + np.einsum("ij,ij->i", m, m)) - 1.0
         values = np.maximum(np.cumsum(steps)[np.array(sizes) - 1], 0.0)
     return DivergenceTrace(sizes=sizes, values=values, slope_estimate=_slope(sizes, values))

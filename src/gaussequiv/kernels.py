@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
+from ._blas import blas_scope
 from .errors import ContractError, SingularGramError
 
 __all__ = [
@@ -543,7 +544,8 @@ class GramMatrix:
             raise ContractError("Gram entries must form a square float matrix")
         _require_symmetric(a, "Gram entries")
         # a.T of a C-order a is a Fortran-order view, which f2py copies without transposing
-        c, info = dpotrf(a.T, lower=1, clean=1, overwrite_a=0)
+        with blas_scope(a.shape[0] ** 3):
+            c, info = dpotrf(a.T, lower=1, clean=1, overwrite_a=0)
         if info != 0:
             raise SingularGramError(pivot=int(info) - 1)
         a.flags.writeable = c.flags.writeable = False
@@ -558,7 +560,8 @@ class GramMatrix:
         """Solve ``L x = b`` against the cached lower factor; a non-finite ``b`` raises :class:`ContractError`."""
         if not np.isfinite(b).all():
             raise ContractError("right-hand side must be finite")
-        return dtrsm(1.0, self.chol, b, lower=1)
+        with blas_scope(self.n * np.size(b)):
+            return dtrsm(1.0, self.chol, b, lower=1)
 
 
 def gram_from_matrix(entries: np.ndarray) -> GramMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dsygst
 
+from ._blas import blas_scope
 from .errors import ContractError
 from .kernels import GramMatrix, _array, _integer, _require_symmetric
 
@@ -67,5 +68,6 @@ def tensor_norm_finite(g1: GramMatrix, diff: np.ndarray) -> float:
     d = diff if in_place else _array(diff, "diff", shape)
     _require_symmetric(d, "difference matrix")
     # triu(D)' is Fortran-order with zeros above the diagonal, which dsygst leaves
-    w = dsygst(np.triu(d).T, g1.chol, itype=1, lower=1, overwrite_a=1)[0]
+    with blas_scope(g1.n**3):
+        w = dsygst(np.triu(d).T, g1.chol, itype=1, lower=1, overwrite_a=1)[0]
     return float(2.0 * np.einsum("ij,ij->", w, w) - np.einsum("ii,ii->", w, w))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import blas_scope
 from ._csvio import write_csv
 from .errors import ContractError
 from .kernels import GramMatrix, _array, _integer
@@ -59,7 +60,9 @@ def sample_paths(g: GramMatrix, m: int, seed: int) -> SampleBatch:
     m, seed = _integer(m, "replicate count", 1), _integer(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z = rng.standard_normal((m, g.n))
-    return SampleBatch(samples=z @ g.chol.T, seed=seed)
+    with blas_scope(m * g.n * g.n):
+        samples = z @ g.chol.T
+    return SampleBatch(samples=samples, seed=seed)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -67,7 +70,8 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     if batch.replicates < 2:
         raise ContractError("empirical covariance needs at least 2 replicates")
     y = batch.samples
-    return (y.T @ y) / batch.replicates
+    with blas_scope(y.shape[1] * y.size):
+        return (y.T @ y) / batch.replicates
 
 
 def batch_to_csv(batch: SampleBatch, path) -> None:

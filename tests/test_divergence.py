@@ -29,6 +29,7 @@ from gaussequiv import (
     trace_to_csv,
     trace_to_json,
 )
+from gaussequiv._blas import blas_scope
 from gaussequiv.designs import dyadic_interval_designs, fibonacci_sphere_designs
 
 from conftest import make_spd
@@ -190,8 +191,9 @@ class TestJDivergenceTrace:
 
     @pytest.mark.blas_pin
     def test_dense_trace_is_the_solve_and_inverse_cumsum(self):
-        # M12 = L2^-1 L1 by dtrsm and M21 = M12^-1 by dtrtri, bit for bit; the
-        # two-solve route M21 = L1^-1 L2 agrees to 1e-12 relative
+        # M12 = L2^-1 L1 by dtrsm and M21 = M12^-1 by dtrtri, bit for bit on the
+        # thread count the library picks for n = 512; the two-solve route
+        # M21 = L1^-1 L2 agrees to 1e-12 relative
         k = np.arange(61.0)
         k1 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3 * (1.0 + 0.7 / (k + 1.0))))
         k2 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3))
@@ -203,8 +205,9 @@ class TestJDivergenceTrace:
             steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
             return np.maximum(np.cumsum(steps)[np.array(trace.sizes) - 1], 0.0)
 
-        m12 = dtrsm(1.0, l2, l1, lower=1)
-        m21, info = dtrtri(m12, lower=1)
+        with blas_scope(512**3):
+            m12 = dtrsm(1.0, l2, l1, lower=1)
+            m21, info = dtrtri(m12, lower=1)
         assert info == 0
         assert trace.values.tobytes() == cumsum(m12, m21).tobytes()
         two_solves = cumsum(solve_triangular(l2, l1, lower=True), solve_triangular(l1, l2, lower=True))

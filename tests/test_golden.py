@@ -9,8 +9,10 @@ not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
 
 The library pins at the end cover the package's public names, two
 generated arrays, the verdict rationale strings, three Markov J traces
-whose AR decays differ and the exponential-kernel likelihood, which no CLI
-digest reaches byte for byte.
+whose AR decays differ, the exponential-kernel likelihood, which no CLI
+digest reaches byte for byte, and the acceptance ML experiment's
+``consistency.csv``, whose sampler runs its factors and products on one
+OpenBLAS thread whatever the caller's count.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from gaussequiv import (
     BrownianKernel,
     Design,
     DivergenceTrace,
+    ExperimentConfig,
     ExponentialKernel,
     LikelihoodProblem,
     VerdictLabel,
@@ -34,7 +37,9 @@ from gaussequiv import (
     equispaced_interval_design,
     harmonic_dimensions,
     j_divergence_trace,
+    microergodic_experiment,
     neg_log_likelihood,
+    report_to_csv,
 )
 
 pytestmark = pytest.mark.blas_pin
@@ -212,6 +217,13 @@ def test_exponential_likelihood_digest():
     values = np.array([neg_log_likelihood(problem, theta) for theta in thetas])
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == "5fe78bb39a0559f046304b23c9b908689a48ee9e97ee1410dd98fc68ee10577f"
+
+
+def test_acceptance_consistency_digest(tmp_path):
+    report = microergodic_experiment(ExperimentConfig(n_grid=(50, 100, 200, 400), replicates=50, seed=7))
+    report_to_csv(report, tmp_path / "consistency.csv")
+    digest = hashlib.sha256((tmp_path / "consistency.csv").read_bytes()).hexdigest()
+    assert digest == "99e516dc7d9994c12f53f79eca189538c6961ef9b5c5a3515419c2344f1dcb4f"
 
 
 @pytest.mark.parametrize(
