@@ -3,10 +3,13 @@
 numpy and scipy each load their own OpenBLAS, and both default to one thread
 per CPU.  On a call whose work, the product of its three dimensions, is at
 most ``512**3``, a second thread spins while it waits and now and then stalls
-the call, and it buys little speed; above that, two threads are faster.  The
-bound keeps every factor and product of the ML experiment's sampler
-(n <= 400) on one thread, so its output does not depend on the caller's
-count.  The count is process-global, so while a scope is open every thread
+the call.  Near the bound, though, two threads are faster for three routines
+(n = 512, 2 CPUs, two threads against one: ``dtrsm`` 3.8 vs 7.4 ms,
+``dtrtri`` 1.7 vs 4.7 ms, ``dsygst`` 4.8 vs 7.3 ms); ``dpotrf`` and products
+break even.  The one bound gives that up: it keeps every factor and product
+of the ML experiment's sampler (n <= 400) on one thread, so the sampler's
+output does not depend on the caller's count.  Above it, two threads are
+faster.  The count is process-global, so while a scope is open every thread
 of the process sees it; the first scope to open saves each copy's count and
 the last to close, in whatever thread and order, restores it.
 """

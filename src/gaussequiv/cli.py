@@ -54,19 +54,10 @@ EXIT_ATOM_MISMATCH = 4
 EXIT_OPTIMIZATION = 5
 
 
-class _Config(dict):
-    """A decoded JSON object whose missing key raises :class:`ContractError` naming it."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        raise ContractError(f"missing key {key!r}")
-
-
-def _decode(data: bytes, what: str, **hooks):
+def _decode(data: bytes, what: str):
     """``data`` decoded as JSON; bytes that do not decode raise :class:`ContractError` naming ``what``."""
     try:
-        return json.loads(data, **hooks)
+        return json.loads(data)
     except ValueError as exc:  # not UTF-8, not JSON, or an integer literal past Python's digit limit
         raise ContractError(f"{what} is not JSON: {exc}") from None
 
@@ -87,25 +78,25 @@ def _given(obj: dict, *keys: str) -> dict:
 
 
 def _design_from_config(obj: dict) -> Design:
-    kind = _json_object(obj, "design", "type")["type"]
-    if kind == "equispaced_interval":
+    obj = _json_object(obj, "design", "type")
+    if obj["type"] == "equispaced_interval":
         return equispaced_interval_design(obj["n"], **_given(obj, "domain"))
-    if kind == "dyadic_interval":
+    if obj["type"] == "dyadic_interval":
         return Design.interval(dyadic_interval_points(obj["n"], **_given(obj, "domain")))
-    if kind == "fibonacci_sphere":
+    if obj["type"] == "fibonacci_sphere":
         return Design.on_sphere(sphere_sequence(obj["n"], **_given(obj, "sphere_dim")))
-    if kind == "explicit":
+    if obj["type"] == "explicit":
         return Design.from_json(obj)
-    raise ContractError(f"unknown design type {kind!r}")
+    raise ContractError(f"unknown design type {obj['type']!r}")
 
 
 def _nested_designs_from_config(obj: dict) -> list[Design]:
-    kind = _json_object(obj, "designs", "type")["type"]
-    if kind == "dyadic_interval":
+    obj = _json_object(obj, "designs", "type")
+    if obj["type"] == "dyadic_interval":
         return dyadic_interval_designs(obj["max_n"], **_given(obj, "domain"))
-    if kind == "fibonacci_sphere":
+    if obj["type"] == "fibonacci_sphere":
         return fibonacci_sphere_designs(obj["sizes"], **_given(obj, "sphere_dim"))
-    raise ContractError(f"unknown nested design type {kind!r}")
+    raise ContractError(f"unknown nested design type {obj['type']!r}")
 
 
 def _criterion_outputs(result: CriterionResult, index_name: str, extra: dict) -> dict:
@@ -264,7 +255,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config_bytes = Path(args.config).read_bytes()
-        config = _json_object(_decode(config_bytes, "config", object_hook=_Config), "config")
+        config = _json_object(_decode(config_bytes, "config"), "config")
         seed = args.seed if args.seed is not None else config.get("seed")
         seed = None if seed is None else _integer(seed, "seed", 0)
         if seed is None and args.subcommand in ("sample", "mle"):

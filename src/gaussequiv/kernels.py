@@ -113,12 +113,22 @@ def _pair(value, key: str) -> tuple[float, float]:
     return tuple(_array(value, key, (2,)).tolist())
 
 
+class _JsonObject(dict):
+    """A JSON object whose missing key raises :class:`ContractError` naming it, in library calls as in the CLI."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise ContractError(f"missing key {key!r}")
+
+
 def _json_object(obj, what: str, key: str | None = None) -> dict:
-    """``obj`` itself, once it is a JSON object (a dict) holding ``key`` when one is given."""
+    """``obj`` as a shallow :class:`_JsonObject` copy, once it is a JSON object (a dict) holding
+    ``key`` when one is given; every JSON reader reads its keys through this copy."""
     if not (isinstance(obj, dict) and (key is None or key in obj)):
         holding = "" if key is None else f" with the {key!r} key"
         raise ContractError(f"{what} must be a JSON object{holding}, not {reprlib.repr(obj)}")
-    return obj
+    return _JsonObject(obj)
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,8 @@ class Design:
 
     @staticmethod
     def from_json(obj: dict) -> "Design":
+        """Load from :meth:`to_json`'s form; a non-object or a missing key raises :class:`ContractError`."""
+        obj = _json_object(obj, "design")
         geom = _json_object(obj["geometry"], "geometry")
         return Design(obj["points"], Geometry(geom["kind"], geom["dim"]))
 
@@ -642,14 +654,14 @@ def kernel_from_json(obj: dict) -> CovarianceKernel:
         {"variant": "exponential", "sigma": 1.0, "beta": 1.0}
         {"variant": "schoenberg", "d": 3, "coeffs": [1.0, 0.5, ...]}
 
-    A non-object, or one with no ``variant`` key, raises :class:`ContractError` (:func:`_json_object`).
+    A non-object, or one missing a key of its form, raises :class:`ContractError` (:func:`_json_object`).
     """
-    variant = _json_object(obj, "kernel description", "variant")["variant"]
-    if variant == "brownian":
+    obj = _json_object(obj, "kernel description", "variant")
+    if obj["variant"] == "brownian":
         return BrownianKernel(sigma=obj["sigma"])
-    if variant == "exponential":
+    if obj["variant"] == "exponential":
         return ExponentialKernel(sigma=obj["sigma"], beta=obj["beta"])
-    if variant == "schoenberg":
+    if obj["variant"] == "schoenberg":
         return SchoenbergKernel(SchoenbergSpectrum(obj["d"], obj["coeffs"]))
-    raise ContractError(f"unknown kernel variant {variant!r}")
+    raise ContractError(f"unknown kernel variant {obj['variant']!r}")
 

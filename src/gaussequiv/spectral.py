@@ -93,7 +93,7 @@ class AtomicSpectralMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "AtomicSpectralMeasure":
-        """Load from ``{"atoms": [{"label": ..., "mass": ..., "dim": ...}, ...]}``."""
+        """Load ``{"atoms": [{"label": ..., "mass": ..., "dim": ...}, ...]}``; a missing key is a ContractError."""
         atoms = _json_object(obj, "measure description", "atoms")["atoms"]
         if not isinstance(atoms, list) or not all(
             isinstance(a, dict) and "label" in a and "mass" in a and "dim" in a for a in atoms
@@ -191,13 +191,13 @@ class ConstantRatio(RatioModel):
 
 def ratio_model_from_json(obj: dict) -> RatioModel:
     """Build a tail model from ``{"type": "power", "c": ..., "s": ...}`` or
-    ``{"type": "constant", "alpha": ...}``."""
-    kind = _json_object(obj, "ratio model", "type")["type"]
-    if kind == "power":
+    ``{"type": "constant", "alpha": ...}``; a missing key raises :class:`ContractError` (:func:`_json_object`)."""
+    obj = _json_object(obj, "ratio model", "type")
+    if obj["type"] == "power":
         return PowerLawRatio(c=obj["c"], s=obj["s"])
-    if kind == "constant":
+    if obj["type"] == "constant":
         return ConstantRatio(alpha=obj["alpha"])
-    raise ContractError(f"unknown ratio model type {kind!r}")
+    raise ContractError(f"unknown ratio model type {obj['type']!r}")
 
 
 def spectra_from_ratio_model(
@@ -213,13 +213,6 @@ def spectra_from_ratio_model(
 # ---------------------------------------------------------------------------
 # criterion sums
 # ---------------------------------------------------------------------------
-
-
-def _pad(coeffs: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length)
-    m = min(length, len(coeffs))
-    out[:m] = coeffs[:m]
-    return out
 
 
 def _criterion(indices, weights, num, den, tail_model, power, scale) -> CriterionResult:
@@ -256,8 +249,7 @@ def sphere_equivalence_sum(
     if s1.sphere_dim != s2.sphere_dim:
         raise ContractError("spectra must share the sphere dimension")
     last_k = _integer(last_k, "K", 0)
-    a1 = _pad(s1.coeffs, last_k + 1)
-    a2 = _pad(s2.coeffs, last_k + 1)
+    a1, a2 = (np.pad(s.coeffs[: last_k + 1], (0, max(0, last_k + 1 - len(s.coeffs)))) for s in (s1, s2))
     only_one = (a1 > 0) != (a2 > 0)
     if np.any(only_one):
         k_bad = int(np.argmax(only_one))

@@ -264,6 +264,10 @@ class TestDesign:
             with pytest.raises(ContractError, match="points"):
                 Design.from_json({"geometry": geometry, "points": points})
 
+    def test_from_json_rejects_a_non_object(self):
+        with pytest.raises(ContractError, match=r"design must be a JSON object, not \[1, 2\]"):
+            Design.from_json([1, 2])
+
     def test_empty_design_and_unknown_geometry_rejected(self):
         with pytest.raises(ContractError, match="at least one point"):
             Design([], Geometry("euclidean", 1))

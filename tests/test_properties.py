@@ -1,6 +1,7 @@
 """Property tests for the paper's invariants and the library's exactness contracts."""
 
 import dataclasses
+import functools
 import json
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gaussequiv import (
     AtomicSpectralMeasure,
     BrownianKernel,
+    ContractError,
     Design,
     ExponentialKernel,
     LikelihoodProblem,
@@ -28,11 +30,13 @@ from gaussequiv import (
     is_prefix_nested,
     j_divergence,
     j_divergence_trace,
+    kernel_from_json,
     neg_log_likelihood,
     sphere_equivalence_sum,
     tensor_norm_finite,
 )
 import gaussequiv.kernels as kernels
+from gaussequiv.spectral import ratio_model_from_json
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -142,6 +146,46 @@ def test_schoenberg_pair_assembly_equals_lone_assembly(d, data):
         pair = kernels._schoenberg_matrices([SchoenbergKernel(s) for s in spectra], coords)
     for spectrum, m in zip(spectra, pair):
         assert m.tobytes() == SchoenbergKernel(spectrum).matrix(coords).tobytes()
+
+
+SPHERE_DESIGN = {"geometry": {"kind": "sphere", "dim": 3}, "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+
+# (reader, JSON description with only required keys, path to the object whose keys are dropped or added)
+JSON_DESCRIPTIONS = {
+    "brownian": (kernel_from_json, {"variant": "brownian", "sigma": 2.0}, ()),
+    "exponential": (kernel_from_json, {"variant": "exponential", "sigma": 1.0, "beta": 3.0}, ()),
+    "schoenberg": (kernel_from_json, {"variant": "schoenberg", "d": 3, "coeffs": [1.0, 0.5]}, ()),
+    "power": (ratio_model_from_json, {"type": "power", "c": 1.0, "s": 2.0}, ()),
+    "constant": (ratio_model_from_json, {"type": "constant", "alpha": 4.0}, ()),
+    "design": (Design.from_json, SPHERE_DESIGN, ()),
+    "geometry": (Design.from_json, SPHERE_DESIGN, ("geometry",)),
+}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(),
+    lambda v: st.lists(v, max_size=3) | st.dictionaries(st.text(), v, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.mark.parametrize("form", sorted(JSON_DESCRIPTIONS))
+@SETTINGS
+@given(json_values, st.data())
+def test_json_readers_name_a_missing_key_and_ignore_an_extra_one(form, value, data):
+    reader, description, path = JSON_DESCRIPTIONS[form]
+    keys = functools.reduce(dict.__getitem__, path, description)
+
+    def edited(edit):
+        copy = json.loads(json.dumps(description))
+        edit(functools.reduce(dict.__getitem__, path, copy))
+        return copy
+
+    key = data.draw(st.sampled_from(sorted(keys)))
+    with pytest.raises(ContractError, match=repr(key)):
+        reader(edited(lambda obj: obj.pop(key)))
+    extra = data.draw(st.text().filter(lambda k: k not in keys))
+    assert repr(reader(edited(lambda obj: obj.update({extra: value})))) == repr(reader(description))
 
 
 @SETTINGS
