@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for small BLAS and LAPACK calls.
+"""One OpenBLAS thread for small BLAS and LAPACK calls, and for seeded draws.
 
 numpy and scipy each load their own OpenBLAS, and both default to one thread
 per CPU.  On a call whose work, the product of its three dimensions, is at
@@ -6,12 +6,15 @@ most ``512**3``, a second thread spins while it waits and now and then stalls
 the call.  Near the bound, though, two threads are faster for three routines
 (n = 512, 2 CPUs, two threads against one: ``dtrsm`` 3.8 vs 7.4 ms,
 ``dtrtri`` 1.7 vs 4.7 ms, ``dsygst`` 4.8 vs 7.3 ms); ``dpotrf`` and products
-break even.  The one bound gives that up: it keeps every factor and product
-of the ML experiment's sampler (n <= 400) on one thread, so the sampler's
-output does not depend on the caller's count.  Above it, two threads are
-faster.  The count is process-global, so while a scope is open every thread
-of the process sees it; the first scope to open saves each copy's count and
-the last to close, in whatever thread and order, restores it.
+break even.  The one bound gives that up.  Above it the caller's count
+stands, except in a seeded draw: ``blas_scope(0)`` pins one thread for a
+whole block, and the sampler opens it around a draw's factor and product at
+every size.  There a second thread saves little or loses (two against one:
+``dpotrf`` at n = 1024 12.8 vs 14.0 ms, a 50-row product at n = 2048 8.6 vs
+8.0 ms), and one thread makes the samples of a seed the same at any count.
+The count is process-global, so while a scope is open every thread of the
+process sees it; the first scope to open saves each copy's count and the
+last to close, in whatever thread and order, restores it.
 """
 
 from __future__ import annotations

@@ -572,8 +572,9 @@ class GramMatrix:
         """Solve ``L x = b`` against the cached lower factor; a non-finite ``b`` raises :class:`ContractError`."""
         if not np.isfinite(b).all():
             raise ContractError("right-hand side must be finite")
-        with blas_scope(self.n * np.size(b)):
-            return dtrsm(1.0, self.chol, b, lower=1)
+        # no blas_scope: a solve here gives the same bits on one thread and on two,
+        # so a scope would only add a lock and four ctypes calls to every call
+        return dtrsm(1.0, self.chol, b, lower=1)
 
 
 def gram_from_matrix(entries: np.ndarray) -> GramMatrix:

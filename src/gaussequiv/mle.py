@@ -44,7 +44,7 @@ from .errors import ContractError, OptimizationFailedError, SingularGramError
 from .kernels import CovarianceKernel, Design, ExponentialKernel, gram, require_geometry
 from .kernels import _array, _counts, _integer, _number, _pair
 from .designs import _halton, _interval, equispaced_interval_design
-from .sampler import derive_seed, sample_paths
+from .sampler import _seeded_draw, derive_seed
 
 __all__ = [
     "ParamSpace",
@@ -396,7 +396,7 @@ def microergodic_experiment(config: ExperimentConfig) -> ConsistencyReport:
     rows, failed = [], []
     for n in config.n_grid:
         design = equispaced_interval_design(n, config.domain)
-        batch = sample_paths(gram(kernel0, design), config.replicates, derive_seed(config.seed, n))
+        batch = _seeded_draw(kernel0, design, config.replicates, derive_seed(config.seed, n))
         fits = _fit(ExponentialKernel, design, batch.samples, space, config.optimizer)
         ok = [fit.theta_hat for fit in fits if fit is not None]
         failed.append(config.replicates - len(ok))

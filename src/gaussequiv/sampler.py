@@ -4,7 +4,10 @@ Replicates are rows of ``Z @ L'`` where L is the cached lower Cholesky factor
 and Z holds i.i.d. standard normals from a seeded PCG64 generator (NumPy's
 default; its normal transform is fixed per NumPy release).  Identical
 (gram, m, seed) inputs therefore reproduce batches bit for bit on one
-platform and release.
+platform, release and OpenBLAS thread count.  A seeded draw from a kernel on
+a design, as the ``sample`` subcommand and the ML experiment make it, factors
+and multiplies on one OpenBLAS thread at every size, so its batch does not
+depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from ._blas import blas_scope
 from ._csvio import write_csv
 from .errors import ContractError
-from .kernels import GramMatrix, _array, _integer
+from .kernels import CovarianceKernel, Design, GramMatrix, _array, _integer, gram
 
 __all__ = [
     "SampleBatch",
@@ -63,6 +66,15 @@ def sample_paths(g: GramMatrix, m: int, seed: int) -> SampleBatch:
     with blas_scope(m * g.n * g.n):
         samples = z @ g.chol.T
     return SampleBatch(samples=samples, seed=seed)
+
+
+def _seeded_draw(kernel: CovarianceKernel, design: Design, m: int, seed: int) -> SampleBatch:
+    """``sample_paths(gram(kernel, design), m, seed)`` with its factor and product on one OpenBLAS thread."""
+    # work 0 is under the bound, so the scope pins one thread; the scopes of
+    # the factor and product nest inside it whatever their size.  A second
+    # thread saves little on either call and its worker spins on afterwards.
+    with blas_scope(0):
+        return sample_paths(gram(kernel, design), m, seed)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:

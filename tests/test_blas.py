@@ -1,7 +1,8 @@
-"""The size-scoped OpenBLAS thread policy: one thread for calls of work <= 512**3."""
+"""The size-scoped OpenBLAS thread policy: one thread for calls of work <= 512**3, and for seeded draws."""
 
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -124,6 +125,47 @@ class TestScope:
         assert seen == [[threads] * len(caller_counts)]
         assert counts() == caller_counts
 
+    def test_seeded_draw_runs_on_one_thread_above_the_bound(self, caller_counts, monkeypatch):
+        # n = 1024 and 250 replicates put the draw's factor and product above
+        # the bound; a plain gram of that size keeps the caller's count
+        seen = []
+
+        def dpotrf(*args, **kwargs):
+            seen.append(("dpotrf", counts()))
+            return real(*args, **kwargs)
+
+        @contextmanager
+        def recording(work):
+            with blas_scope(work):
+                seen.append((work, counts()))
+                yield
+
+        real = kernels.dpotrf
+        monkeypatch.setattr(kernels, "dpotrf", dpotrf)
+        monkeypatch.setattr(sampler, "blas_scope", recording)
+        n, m, one = 1024, 250, [1] * len(caller_counts)
+        kernel, design = ExponentialKernel(1.0, 1.0), equispaced_interval_design(n, (0.0, 1.0))
+        sampler._seeded_draw(kernel, design, m, 5)
+        assert seen == [(0, one), ("dpotrf", one), (m * n**2, one)]
+        assert counts() == caller_counts
+        seen.clear()
+        gram(kernel, design)
+        assert seen == [("dpotrf", caller_counts)]
+
+    @pytest.mark.blas_pin
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_solve_has_the_same_bits_on_one_thread_and_two(self, caller_counts, n):
+        # half_solve opens no scope: a vector or an (n, 3) dtrsm gives one answer at any count
+        g = gram(ExponentialKernel(1.0, 1.0), equispaced_interval_design(n, (0.0, 1.0)))
+        b = np.random.default_rng(n).standard_normal((n, 3))
+        solved = []
+        for threads in (1, 2):
+            for _, set_count in _blas._SETTERS:
+                set_count(threads)
+            assert counts() == [threads] * len(caller_counts)
+            solved.append([g.half_solve(b[:, 0]).tobytes(), g.half_solve(b).tobytes()])
+        assert solved[0] == solved[1]
+
 
 def test_no_setters_is_a_no_op(monkeypatch):
     found = _blas._SETTERS
@@ -135,8 +177,8 @@ def test_no_setters_is_a_no_op(monkeypatch):
 
 
 def test_each_call_site_passes_its_work(monkeypatch):
-    # n^3 for a factor, solve, inverse or dsygst, n^2 per solved vector, m n^2
-    # for the sampler's two products
+    # n^3 for a factor, solve, inverse or dsygst, m n^2 for the sampler's two
+    # products, 0 around a seeded draw; half_solve opens none
     works = []
 
     def recording(work):
@@ -150,11 +192,12 @@ def test_each_call_site_passes_its_work(monkeypatch):
     g1, g2 = gram(ExponentialKernel(1.0, 1.0), design), gram(ExponentialKernel(1.0, 2.0), design)
     assert works == [n**3, n**3]
     cases = [
-        (lambda: g1.half_solve(np.ones(n)), [n**2]),
-        (lambda: g1.half_solve(np.ones((n, 3))), [3 * n**2]),
+        (lambda: g1.half_solve(np.ones(n)), []),
+        (lambda: g1.half_solve(np.ones((n, 3))), []),
         (lambda: j_divergence(g1, g2), [n**3]),
         (lambda: tensor_norm_finite(g1, g2.entries - g1.entries), [n**3]),
         (lambda: empirical_covariance(sample_paths(g1, m, 3)), [m * n**2, m * n**2]),
+        (lambda: sampler._seeded_draw(ExponentialKernel(1.0, 1.0), design, m, 3), [0, n**3, m * n**2]),
     ]
     for call, expected in cases:
         works.clear()

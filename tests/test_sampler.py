@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gaussequiv import (
     gram,
     gram_from_matrix,
     sample_paths,
+    sampler,
 )
 
 from conftest import make_spd
@@ -59,6 +62,15 @@ class TestSamplePaths:
         batch = sample_paths(g, 3.0, 7.0)
         assert batch.samples.tobytes() == sample_paths(g, 3, 7).samples.tobytes()
         assert type(batch.seed) is int and batch.seed == 7
+
+    @pytest.mark.blas_pin
+    def test_seeded_draw_digest_at_any_thread_count(self):
+        # the factor (600**3) and the product (400 * 600**2) are both above
+        # 512**3, where an unpinned call would run on the caller's count
+        design = equispaced_interval_design(600, (0.0, 1.0))
+        batch = sampler._seeded_draw(ExponentialKernel(1.0, 1.0), design, 400, 5)
+        digest = hashlib.sha256(batch.samples.tobytes()).hexdigest()
+        assert digest == "f622e3462b2533f287096d57699a09782b1b17fea98c96a0098e8c0358a1f9e8"
 
 
 class TestEmpiricalCovariance:
