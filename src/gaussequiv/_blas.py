@@ -1,20 +1,15 @@
-"""One OpenBLAS thread for small BLAS and LAPACK calls, and for seeded draws.
+"""One OpenBLAS thread for every library BLAS and LAPACK call.
 
 numpy and scipy each load their own OpenBLAS, and both default to one thread
-per CPU.  On a call whose work, the product of its three dimensions, is at
-most ``512**3``, a second thread spins while it waits and now and then stalls
-the call.  Near the bound, though, two threads are faster for three routines
-(n = 512, 2 CPUs, two threads against one: ``dtrsm`` 3.8 vs 7.4 ms,
-``dtrtri`` 1.7 vs 4.7 ms, ``dsygst`` 4.8 vs 7.3 ms); ``dpotrf`` and products
-break even.  The one bound gives that up.  Above it the caller's count
-stands, except in a seeded draw: ``blas_scope(0)`` pins one thread for a
-whole block, and the sampler opens it around a draw's factor and product at
-every size.  There a second thread saves little or loses (two against one:
-``dpotrf`` at n = 1024 12.8 vs 14.0 ms, a 50-row product at n = 2048 8.6 vs
-8.0 ms), and one thread makes the samples of a seed the same at any count.
-The count is process-global, so while a scope is open every thread of the
-process sees it; the first scope to open saves each copy's count and the
-last to close, in whatever thread and order, restores it.
+per CPU.  After a call on two threads the second thread spins through the
+Python work that follows, and no later change of the count parks it.  On 2
+CPUs a ``nested_trace`` pass, whose matrix assembly is single-threaded numpy,
+took 238-257 ms wall for 471-502 ms CPU with its n = 1024 calls on two
+threads, and 270-286 ms wall, CPU equal to it, with every call on one.
+One thread also gives a factor, solve or product the same bits at any
+caller count.  The count is process-global, so while a scope is open every
+thread of the process sees it; the first scope to open saves each copy's
+count and the last to close, in whatever thread and order, restores it.
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ import ctypes
 import importlib
 import threading
 from contextlib import contextmanager
-
-ONE_THREAD_WORK = 512**3
 
 
 def _find_setters() -> tuple:
@@ -50,10 +43,10 @@ _open = {"scopes": 0, "counts": []}
 
 
 @contextmanager
-def blas_scope(work: int):
-    """Run the block on one thread in every OpenBLAS copy found when ``work <= 512**3``,
-    and restore each copy's count once no scope is open; otherwise, or with no copy found, do nothing."""
-    if work > ONE_THREAD_WORK or not _SETTERS:
+def blas_scope():
+    """Run the block on one thread in every OpenBLAS copy found, and restore
+    each copy's count once no scope is open; with no copy found, do nothing."""
+    if not _SETTERS:
         yield
         return
     with _LOCK:

@@ -34,9 +34,9 @@ from .designs import (
 )
 from .divergence import dichotomy_diagnostic, j_divergence_trace, trace_to_csv, trace_to_json
 from .errors import AtomMismatchError, ContractError, OptimizationFailedError, SingularGramError
-from .kernels import Design, SchoenbergSpectrum, _integer, _json_object, kernel_from_json
+from .kernels import Design, SchoenbergSpectrum, _integer, _json_object, gram, kernel_from_json
 from .mle import ExperimentConfig, OptimizerConfig, microergodic_experiment, report_to_csv
-from .sampler import _seeded_draw, batch_to_csv
+from .sampler import batch_to_csv, sample_paths
 from .spectral import (
     AtomicSpectralMeasure,
     CriterionResult,
@@ -145,7 +145,7 @@ def _run_chow(config: dict, seed, args) -> dict:
 def _run_sample(config: dict, seed, args) -> dict:
     kernel = kernel_from_json(config["kernel"])
     design = _design_from_config(config["design"])
-    batch = _seeded_draw(kernel, design, config["replicates"], seed)
+    batch = sample_paths(gram(kernel, design), config["replicates"], seed)
     meta = {
         "seed": batch.seed,
         "kernel": config["kernel"],

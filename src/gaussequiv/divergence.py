@@ -80,7 +80,7 @@ def j_divergence(g1: GramMatrix, g2: GramMatrix) -> float:
     """
     if g1.n != g2.n:
         raise ContractError("Gram matrices must have equal size")
-    with blas_scope(g1.n**3):
+    with blas_scope():
         return 0.5 * (_squared_norm(g2.chol, g1.chol) + _squared_norm(g1.chol, g2.chol)) - g1.n
 
 
@@ -164,7 +164,7 @@ def j_divergence_trace(
             # one recurrence for both matrices; the two grams below are served views
             _schoenberg_matrices((k1, k2), designs[-1].coords)
         l1, l2 = gram(k1, designs[-1]).chol, gram(k2, designs[-1]).chol
-        with blas_scope(sizes[-1] ** 3):
+        with blas_scope():
             m = dtrsm(1.0, l2, l1, lower=1)
             rows = np.einsum("ij,ij->i", m, m)
             m = dtrtri(m, lower=1, overwrite_c=1)[0]  # M21 over M12: one n x n array live

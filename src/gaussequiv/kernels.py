@@ -556,7 +556,7 @@ class GramMatrix:
             raise ContractError("Gram entries must form a square float matrix")
         _require_symmetric(a, "Gram entries")
         # a.T of a C-order a is a Fortran-order view, which f2py copies without transposing
-        with blas_scope(a.shape[0] ** 3):
+        with blas_scope():
             c, info = dpotrf(a.T, lower=1, clean=1, overwrite_a=0)
         if info != 0:
             raise SingularGramError(pivot=int(info) - 1)

@@ -2,12 +2,10 @@
 
 Replicates are rows of ``Z @ L'`` where L is the cached lower Cholesky factor
 and Z holds i.i.d. standard normals from a seeded PCG64 generator (NumPy's
-default; its normal transform is fixed per NumPy release).  Identical
-(gram, m, seed) inputs therefore reproduce batches bit for bit on one
-platform, release and OpenBLAS thread count.  A seeded draw from a kernel on
-a design, as the ``sample`` subcommand and the ML experiment make it, factors
-and multiplies on one OpenBLAS thread at every size, so its batch does not
-depend on the thread count either.
+default; its normal transform is fixed per NumPy release).  The product
+runs on one OpenBLAS thread, as every factor does (``_blas``), so identical
+(gram, m, seed) inputs, and a seed with a kernel and a design, reproduce
+batches bit for bit on one platform and release at any OpenBLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 from ._blas import blas_scope
 from ._csvio import write_csv
 from .errors import ContractError
-from .kernels import CovarianceKernel, Design, GramMatrix, _array, _integer, gram
+from .kernels import GramMatrix, _array, _integer
 
 __all__ = [
     "SampleBatch",
@@ -63,18 +61,9 @@ def sample_paths(g: GramMatrix, m: int, seed: int) -> SampleBatch:
     m, seed = _integer(m, "replicate count", 1), _integer(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z = rng.standard_normal((m, g.n))
-    with blas_scope(m * g.n * g.n):
+    with blas_scope():
         samples = z @ g.chol.T
     return SampleBatch(samples=samples, seed=seed)
-
-
-def _seeded_draw(kernel: CovarianceKernel, design: Design, m: int, seed: int) -> SampleBatch:
-    """``sample_paths(gram(kernel, design), m, seed)`` with its factor and product on one OpenBLAS thread."""
-    # work 0 is under the bound, so the scope pins one thread; the scopes of
-    # the factor and product nest inside it whatever their size.  A second
-    # thread saves little on either call and its worker spins on afterwards.
-    with blas_scope(0):
-        return sample_paths(gram(kernel, design), m, seed)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -82,7 +71,7 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     if batch.replicates < 2:
         raise ContractError("empirical covariance needs at least 2 replicates")
     y = batch.samples
-    with blas_scope(y.shape[1] * y.size):
+    with blas_scope():
         return (y.T @ y) / batch.replicates
 
 

@@ -192,7 +192,7 @@ class TestJDivergenceTrace:
     @pytest.mark.blas_pin
     def test_dense_trace_is_the_solve_and_inverse_cumsum(self):
         # M12 = L2^-1 L1 by dtrsm and M21 = M12^-1 by dtrtri, bit for bit on the
-        # thread count the library picks for n = 512; the two-solve route
+        # one thread the library runs them on; the two-solve route
         # M21 = L1^-1 L2 agrees to 1e-12 relative
         k = np.arange(61.0)
         k1 = SchoenbergKernel(SchoenbergSpectrum(3, (k + 1.0) ** -3 * (1.0 + 0.7 / (k + 1.0))))
@@ -205,7 +205,7 @@ class TestJDivergenceTrace:
             steps = 0.5 * (np.einsum("ij,ij->i", m12, m12) + np.einsum("ij,ij->i", m21, m21)) - 1.0
             return np.maximum(np.cumsum(steps)[np.array(trace.sizes) - 1], 0.0)
 
-        with blas_scope(512**3):
+        with blas_scope():
             m12 = dtrsm(1.0, l2, l1, lower=1)
             m21, info = dtrtri(m12, lower=1)
         assert info == 0

@@ -4,15 +4,15 @@ The configs are those of the acceptance determinism check, plus two
 ``sample`` runs on a dyadic and on an explicit design and two ``chow`` runs
 with a power-law tail model, with and without ``weight_bound``.  Each digest covers
 one output file byte for byte, so a changed digest means a changed output;
-refactors must leave every digest as it is.  At these sizes the digests do
-not depend on the OpenBLAS thread count (checked with 1 and 2 threads).
+refactors must leave every digest as it is.  The digests do not depend on
+the OpenBLAS thread count (checked with 1 and 2 threads).
 
 The library pins at the end cover the package's public names, two
 generated arrays, the verdict rationale strings, three Markov J traces
 whose AR decays differ, the exponential-kernel likelihood, which no CLI
 digest reaches byte for byte, and the acceptance ML experiment's
-``consistency.csv``, whose sampler runs its factors and products on one
-OpenBLAS thread whatever the caller's count.
+``consistency.csv``, whose factors and products, as every library BLAS
+call, run on one OpenBLAS thread whatever the caller's count.
 """
 
 import hashlib

@@ -179,7 +179,7 @@ class TestGram:
     def test_factor_is_dpotrf_of_the_matrix(self, kind, n):
         # the factor of a.T's Fortran view is bitwise that of a; the prefix
         # kind factors a strided view of a matrix the kernel keeps; the oracle
-        # runs on the thread count the library picks for that size
+        # runs on one thread, as the library's factor does
         spectrum = SchoenbergSpectrum(3, (np.arange(61.0) + 1.0) ** -3)
         if kind in ("exponential", "brownian"):
             kernel = ExponentialKernel(1.3, 2.0) if kind == "exponential" else BrownianKernel(1.3)
@@ -195,7 +195,7 @@ class TestGram:
         before = x.tobytes()
         g = gram(kernel, design)
         assert x.tobytes() == before and g.entries.tobytes() == before
-        with blas_scope(n**3):
+        with blas_scope():
             oracle = dpotrf(np.array(x), lower=1, clean=1)[0]
         assert g.chol.tobytes() == oracle.tobytes()
 

@@ -15,7 +15,6 @@ from gaussequiv import (
     gram,
     gram_from_matrix,
     sample_paths,
-    sampler,
 )
 
 from conftest import make_spd
@@ -65,10 +64,10 @@ class TestSamplePaths:
 
     @pytest.mark.blas_pin
     def test_seeded_draw_digest_at_any_thread_count(self):
-        # the factor (600**3) and the product (400 * 600**2) are both above
-        # 512**3, where an unpinned call would run on the caller's count
+        # the factor and the product run on one thread, so a seed gives
+        # these samples at any caller count
         design = equispaced_interval_design(600, (0.0, 1.0))
-        batch = sampler._seeded_draw(ExponentialKernel(1.0, 1.0), design, 400, 5)
+        batch = sample_paths(gram(ExponentialKernel(1.0, 1.0), design), 400, 5)
         digest = hashlib.sha256(batch.samples.tobytes()).hexdigest()
         assert digest == "f622e3462b2533f287096d57699a09782b1b17fea98c96a0098e8c0358a1f9e8"
 
